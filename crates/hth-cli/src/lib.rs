@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex};
 
 use emukernel::{Endpoint, FileNode, Peer, RemoteClient};
 use harrier::audit;
+use hth_core::secpert_engine::frame;
 use hth_core::{PolicyConfig, Secpert, Session, SessionConfig};
 use hth_fleet::{Backpressure, FaultPlan, FleetConfig, JournalReader, JournalWriter};
 
@@ -937,7 +938,8 @@ fn fleet(opts: FleetOptions) -> Result<String, String> {
 fn explain(journal: &str, index: usize, trust: Vec<String>) -> Result<String, String> {
     let bytes =
         std::fs::read(journal).map_err(|e| format!("cannot read journal `{journal}`: {e}"))?;
-    if matches!(hth_fleet::wire::read_header_any(&bytes), Ok(hth_fleet::DIGEST_VERSION)) {
+    let digest_versions = hth_fleet::DIGEST_VERSION..=hth_fleet::DIGEST_VERSION;
+    if frame::read_header(&bytes, &hth_fleet::wire::MAGIC, digest_versions).is_ok() {
         let digests =
             hth_fleet::read_digest_stream(&bytes).map_err(|e| format!("`{journal}`: {e}"))?;
         let mut correlator = hth_core::Correlator::new(hth_core::CorrelateConfig::default());

@@ -6,7 +6,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use harrier::{Origin, SecpertEvent, SourceInfo};
-use secpert_engine::snapshot::{self, ByteReader, EngineSnapshot, SnapshotError};
+use secpert_engine::frame::{self, Cursor, Framing, HEADER_LEN};
+use secpert_engine::snapshot::{EngineSnapshot, SnapshotError};
 use secpert_engine::{AlphaPrefilter, Engine, EngineError, Fact, FactBuilder, MatchStats, Value};
 
 use crate::policy::{PolicyConfig, POLICY_CLIPS};
@@ -18,6 +19,9 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"HTHS";
 /// Snapshot format version; bumped on any layout change so an old
 /// server never misreads a new snapshot (and vice versa).
 const SNAPSHOT_VERSION: u8 = 1;
+/// A snapshot is one CRC frame; its size is bounded by the input slice,
+/// not by a cap.
+const SNAPSHOT_FRAMING: Framing = Framing::new(true, u64::MAX);
 
 /// The security expert system: policy + engine + warning collection.
 ///
@@ -547,9 +551,8 @@ impl Secpert {
     /// Serializes this expert's resumable state: the event cursor plus
     /// the engine's facts, refraction set, and counters (see
     /// [`EngineSnapshot`]). The layout is `"HTHS"` + a version byte +
-    /// one journal-style CRC frame (`varint length`, little-endian
-    /// CRC32, payload), so torn writes are detected on load exactly like
-    /// a torn journal tail. Warnings are *not* carried — they live in
+    /// one CRC frame of the shared [`frame`] codec, so torn writes are
+    /// detected on load exactly like a torn journal tail. Warnings are *not* carried — they live in
     /// the host's sink, and a resumed expert starts with an empty one.
     ///
     /// # Errors
@@ -558,15 +561,12 @@ impl Secpert {
     /// quiescent (mid-event; only snapshot between events).
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
         let engine_snap = self.engine.snapshot()?;
-        let mut payload = Vec::new();
-        snapshot::put_varint(&mut payload, self.events_processed);
-        payload.extend_from_slice(&engine_snap.encode());
-        let mut out = Vec::with_capacity(payload.len() + 16);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.push(SNAPSHOT_VERSION);
-        snapshot::put_varint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&snapshot::crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        frame::write_header(&mut out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+        SNAPSHOT_FRAMING.write(&mut out, |payload| {
+            frame::put_varint(payload, self.events_processed);
+            payload.extend_from_slice(&engine_snap.encode());
+        });
         Ok(out)
     }
 
@@ -581,30 +581,16 @@ impl Secpert {
     /// fall back to a full journal replay); [`SnapshotError::Engine`]
     /// when the snapshot disagrees with the policy.
     pub fn restore(config: &PolicyConfig, bytes: &[u8]) -> Result<Secpert, SnapshotError> {
-        if bytes.len() < SNAPSHOT_MAGIC.len() + 1 || &bytes[..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::Corrupt("not a Secpert snapshot (bad magic)".into()));
-        }
-        if bytes[4] != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot version {} (this build reads {SNAPSHOT_VERSION})",
-                bytes[4]
-            )));
-        }
-        let mut r = ByteReader::new(&bytes[5..]);
-        let len = r.varint()? as usize;
-        let crc_stored =
-            u32::from_le_bytes(r.take(4)?.try_into().expect("take(4) yields exactly four bytes"));
-        let payload = r.take(len)?;
+        frame::read_header(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION..=SNAPSHOT_VERSION)?;
+        let mut r = Cursor::new(&bytes[HEADER_LEN..]);
+        let payload = SNAPSHOT_FRAMING.read(&mut r)?;
         if !r.is_empty() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after snapshot frame",
                 r.remaining()
             )));
         }
-        if snapshot::crc32(payload) != crc_stored {
-            return Err(SnapshotError::Corrupt("frame checksum mismatch".into()));
-        }
-        let mut pr = ByteReader::new(payload);
+        let mut pr = Cursor::new(payload);
         let events_processed = pr.varint()?;
         let engine_snap = EngineSnapshot::decode(pr.take(pr.remaining())?)?;
         let mut expert = Secpert::new(config)?;

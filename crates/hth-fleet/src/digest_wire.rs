@@ -5,24 +5,22 @@
 //! own version byte ([`DIGEST_VERSION`], `0x44`, ASCII `D`) well clear
 //! of the event-codec (1, 2) and journal-framing (1–3) ranges, so a
 //! consumer handed an opaque `.hthj`-style file — `hth explain`, most
-//! importantly — can dispatch on [`read_header_any`] alone: low version
-//! bytes mean per-session events, `0x44` means fleet digests.
+//! importantly — can dispatch on the header's version byte alone: low
+//! version bytes mean per-session events, `0x44` means fleet digests.
 //!
-//! Each digest is one frame, `[varint len][crc32][payload]`, the same
-//! framing discipline as journal v2, so torn tails and bit rot are
-//! detected per digest rather than poisoning the stream. String
-//! interning (labels, endpoints, paths, rule names repeat heavily
-//! across a fleet) spans frames exactly like the event codec's, so a
-//! stream must be decoded in order by a single [`DigestDecoder`].
-
-use std::collections::HashMap;
+//! Each digest is one CRC frame of the shared [`frame`] codec, so torn
+//! tails and bit rot are detected per digest rather than poisoning the
+//! stream. String interning (labels, endpoints, paths, rule names
+//! repeat heavily across a fleet) spans frames, so a stream must be
+//! decoded in order by a single [`DigestDecoder`].
 
 use hth_core::{DropIdentity, SessionDigest, Severity};
+use secpert_engine::frame::{self, put_varint, Cursor, Framing, Interner, StringTable, HEADER_LEN};
 
-use crate::wire::{
-    crc32, put_varint, read_header_any, write_header_versioned, Cursor, WireError, HEADER_LEN,
-    MAX_FRAME_LEN,
-};
+use crate::wire::{WireError, MAGIC, MAX_FRAME_LEN};
+
+/// Every digest is one CRC frame, capped like a journal frame.
+const FRAMING: Framing = Framing::new(true, MAX_FRAME_LEN);
 
 /// Stream version byte marking a digest stream (vs. the 1/2 of raw
 /// event streams and 1–3 of journals).
@@ -32,7 +30,7 @@ pub const DIGEST_VERSION: u8 = 0x44;
 /// stream; decode in order with a single [`DigestDecoder`].
 #[derive(Debug, Default)]
 pub struct DigestEncoder {
-    strings: HashMap<String, u64>,
+    strings: Interner,
 }
 
 impl DigestEncoder {
@@ -43,48 +41,36 @@ impl DigestEncoder {
 
     /// Appends one digest as a framed record.
     pub fn encode(&mut self, digest: &SessionDigest, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(64);
-        put_varint(&mut payload, digest.session);
-        self.put_str(&mut payload, &digest.label);
-        put_varint(&mut payload, digest.events);
-        put_varint(&mut payload, digest.warnings.len() as u64);
-        for ((severity, rule), count) in &digest.warnings {
-            payload.push(severity.level() as u8);
-            self.put_str(&mut payload, rule);
-            put_varint(&mut payload, *count);
-        }
-        put_varint(&mut payload, digest.beacons.len() as u64);
-        for endpoint in &digest.beacons {
-            self.put_str(&mut payload, endpoint);
-        }
-        put_varint(&mut payload, digest.drops.len() as u64);
-        for drop in &digest.drops {
-            self.put_str(&mut payload, &drop.path);
-            payload.push(u8::from(drop.executable));
-            put_varint(&mut payload, drop.content.len() as u64);
-            for kind in &drop.content {
-                self.put_str(&mut payload, kind);
+        let strings = &mut self.strings;
+        FRAMING.write(out, |payload| {
+            put_varint(payload, digest.session);
+            strings.put(payload, &digest.label);
+            put_varint(payload, digest.events);
+            put_varint(payload, digest.warnings.len() as u64);
+            for ((severity, rule), count) in &digest.warnings {
+                payload.push(severity.level() as u8);
+                strings.put(payload, rule);
+                put_varint(payload, *count);
             }
-        }
-        put_varint(&mut payload, digest.exfil.len() as u64);
-        for (target, bytes) in &digest.exfil {
-            self.put_str(&mut payload, target);
-            put_varint(&mut payload, *bytes);
-        }
-        put_varint(out, payload.len() as u64);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-    }
-
-    fn put_str(&mut self, out: &mut Vec<u8>, s: &str) {
-        if let Some(idx) = self.strings.get(s) {
-            put_varint(out, idx + 1);
-            return;
-        }
-        put_varint(out, 0);
-        put_varint(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
-        self.strings.insert(s.to_string(), self.strings.len() as u64);
+            put_varint(payload, digest.beacons.len() as u64);
+            for endpoint in &digest.beacons {
+                strings.put(payload, endpoint);
+            }
+            put_varint(payload, digest.drops.len() as u64);
+            for drop in &digest.drops {
+                strings.put(payload, &drop.path);
+                payload.push(u8::from(drop.executable));
+                put_varint(payload, drop.content.len() as u64);
+                for kind in &drop.content {
+                    strings.put(payload, kind);
+                }
+            }
+            put_varint(payload, digest.exfil.len() as u64);
+            for (target, bytes) in &digest.exfil {
+                strings.put(payload, target);
+                put_varint(payload, *bytes);
+            }
+        });
     }
 }
 
@@ -92,7 +78,7 @@ impl DigestEncoder {
 /// string table.
 #[derive(Debug, Default)]
 pub struct DigestDecoder {
-    strings: Vec<String>,
+    strings: StringTable,
 }
 
 impl DigestDecoder {
@@ -110,20 +96,8 @@ impl DigestDecoder {
     /// [`WireError::Crc`] mismatch). The string table may have grown by
     /// then; discard the decoder after an error.
     pub fn decode(&mut self, buf: &[u8]) -> Result<(SessionDigest, usize), WireError> {
-        let mut cur = Cursor { buf, pos: 0 };
-        let len = cur.varint()?;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge(len));
-        }
-        let stored = u32::from_le_bytes(cur.take(4)?.try_into().expect("4 bytes"));
-        let payload_start = cur.pos;
-        let payload = cur.take(len as usize)?;
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(WireError::Crc { stored, computed });
-        }
-        let consumed = cur.pos;
-        let mut cur = Cursor { buf: &buf[payload_start..consumed], pos: 0 };
+        let mut stream = Cursor::new(buf);
+        let mut cur = Cursor::new(FRAMING.read(&mut stream)?);
         let session = cur.varint()?;
         let label = self.get_str(&mut cur)?;
         let mut digest = SessionDigest::new(session, &label);
@@ -155,30 +129,23 @@ impl DigestDecoder {
             let bytes = cur.varint()?;
             *digest.exfil.entry(target).or_insert(0) += bytes;
         }
-        if cur.pos != cur.buf.len() {
+        if !cur.is_empty() {
             // A frame that passed its CRC but has trailing garbage was
             // produced by a different codec version; refuse it.
             return Err(WireError::Truncated);
         }
-        Ok((digest, consumed))
+        Ok((digest, stream.position()))
     }
 
     fn get_str(&mut self, cur: &mut Cursor<'_>) -> Result<String, WireError> {
-        let marker = cur.varint()?;
-        if marker == 0 {
-            let len = cur.varint()? as usize;
-            let text = std::str::from_utf8(cur.take(len)?).map_err(WireError::Utf8)?;
-            self.strings.push(text.to_string());
-            return Ok(text.to_string());
-        }
-        self.strings.get(marker as usize - 1).cloned().ok_or(WireError::BadStringRef(marker - 1))
+        Ok(self.strings.get(cur)?.to_string())
     }
 }
 
 /// Serialises digests as a complete stream: header + one frame each.
 pub fn write_digest_stream(digests: &[SessionDigest]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_header_versioned(&mut out, DIGEST_VERSION);
+    frame::write_header(&mut out, &MAGIC, DIGEST_VERSION);
     let mut encoder = DigestEncoder::new();
     for digest in digests {
         encoder.encode(digest, &mut out);
@@ -194,10 +161,7 @@ pub fn write_digest_stream(digests: &[SessionDigest]) -> Vec<u8> {
 /// (event streams and journals carry their own version bytes), any
 /// other [`WireError`] on malformed frames.
 pub fn read_digest_stream(buf: &[u8]) -> Result<Vec<SessionDigest>, WireError> {
-    let version = read_header_any(buf)?;
-    if version != DIGEST_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
+    frame::read_header(buf, &MAGIC, DIGEST_VERSION..=DIGEST_VERSION)?;
     let mut decoder = DigestDecoder::new();
     let mut pos = HEADER_LEN;
     let mut digests = Vec::new();

@@ -9,9 +9,9 @@
 //!   followed by the payload. Readable forever, but a flipped payload
 //!   byte is invisible until the decoder trips over it (or worse,
 //!   decodes the wrong event silently).
-//! * **v2** (`HTHW` + `0x02`) — each frame is the varint payload
-//!   length, a CRC32 of the payload (4 bytes little-endian), then the
-//!   payload. Bit rot and torn writes are *detected*, and [`recover`]
+//! * **v2** (`HTHW` + `0x02`) — each event is a CRC frame of the shared
+//!   [`frame`] codec: the varint payload length, a CRC32 of the payload
+//!   (4 bytes little-endian), then the payload. Bit rot and torn writes are *detected*, and [`recover`]
 //!   distinguishes a clean end of stream from a torn tail from
 //!   mid-stream corruption, salvaging every decodable prefix.
 //! * **v3** (`HTHW` + `0x03`, the default) — v2's CRC framing carrying
@@ -34,11 +34,10 @@ use harrier::SecpertEvent;
 use hth_core::{Secpert, Warning};
 use secpert_engine::EngineError;
 
+use secpert_engine::frame::{self, Cursor, FrameError, Framing, HEADER_LEN};
+
 use crate::faults::{FaultPlan, JournalFault};
-use crate::wire::{
-    crc32, read_header_any, write_header_versioned, EventDecoder, EventEncoder, WireError,
-    HEADER_LEN, MAX_FRAME_LEN,
-};
+use crate::wire::{EventDecoder, EventEncoder, WireError, MAGIC, MAX_FRAME_LEN};
 
 /// Journal framing version 1: `[len][payload]`, no checksum.
 pub const JOURNAL_V1: u8 = 1;
@@ -59,26 +58,25 @@ fn event_version(journal_version: u8) -> u8 {
     }
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
+/// The frame shape of a journal framing version: v1 frames carry no
+/// CRC, later ones do.
+fn framing(journal_version: u8) -> Framing {
+    Framing::new(journal_version >= JOURNAL_V2, MAX_FRAME_LEN)
+}
+
+/// Checks a journal header and returns its framing version.
+fn read_journal_header(buf: &[u8]) -> Result<u8, FrameError> {
+    frame::read_header(buf, &MAGIC, JOURNAL_V1..=JOURNAL_V3)
 }
 
 /// Writes an event journal to any [`Write`] sink.
 pub struct JournalWriter<W: Write> {
     sink: W,
     encoder: EventEncoder,
-    scratch: Vec<u8>,
+    frame: Vec<u8>,
     events: u64,
     bytes: u64,
-    version: u8,
+    framing: Framing,
     faults: Option<Arc<FaultPlan>>,
     torn: bool,
     injected: Vec<String>,
@@ -118,15 +116,15 @@ impl<W: Write> JournalWriter<W> {
             return Err(WireError::BadVersion(version));
         }
         let mut header = Vec::with_capacity(HEADER_LEN);
-        write_header_versioned(&mut header, version);
+        frame::write_header(&mut header, &MAGIC, version);
         sink.write_all(&header)?;
         Ok(JournalWriter {
             sink,
             encoder: EventEncoder::for_version(event_version(version)),
-            scratch: Vec::new(),
+            frame: Vec::new(),
             events: 0,
             bytes: HEADER_LEN as u64,
-            version,
+            framing: framing(version),
             faults: None,
             torn: false,
             injected: Vec::new(),
@@ -153,14 +151,9 @@ impl<W: Write> JournalWriter<W> {
             self.injected.push(format!("event {index}: lost after torn write"));
             return Ok(());
         }
-        self.scratch.clear();
-        self.encoder.encode(event, &mut self.scratch);
-        let mut frame = Vec::with_capacity(self.scratch.len() + 9);
-        put_varint(&mut frame, self.scratch.len() as u64);
-        if self.version >= JOURNAL_V2 {
-            frame.extend_from_slice(&crc32(&self.scratch).to_le_bytes());
-        }
-        frame.extend_from_slice(&self.scratch);
+        let frame = &mut self.frame;
+        frame.clear();
+        self.framing.write(frame, |payload| self.encoder.encode(event, payload));
 
         let fault = self.faults.as_ref().and_then(|p| p.journal_fault(index));
         match fault {
@@ -177,7 +170,7 @@ impl<W: Write> JournalWriter<W> {
             }
             None => {}
         }
-        self.sink.write_all(&frame)?;
+        self.sink.write_all(frame)?;
         self.bytes += frame.len() as u64;
         Ok(())
     }
@@ -231,10 +224,7 @@ impl<R: Read> JournalReader<R> {
             std::io::ErrorKind::UnexpectedEof => WireError::Truncated,
             _ => WireError::Io(e),
         })?;
-        let version = read_header_any(&header)?;
-        if !(JOURNAL_V1..=JOURNAL_V3).contains(&version) {
-            return Err(WireError::BadVersion(version));
-        }
+        let version = read_journal_header(&header)?;
         Ok(JournalReader {
             source,
             decoder: EventDecoder::for_version(event_version(version)),
@@ -255,70 +245,15 @@ impl<R: Read> JournalReader<R> {
     /// Truncated frames, CRC mismatches (v2), malformed payloads and
     /// i/o errors.
     pub fn next_event(&mut self) -> Result<Option<SecpertEvent>, WireError> {
-        let len = match self.read_varint()? {
-            Some(len) => len,
-            None => return Ok(None),
-        };
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge(len));
-        }
-        let len = len as usize;
-        let stored_crc = if self.version >= JOURNAL_V2 {
-            let mut crc = [0u8; 4];
-            self.read_exact(&mut crc)?;
-            Some(u32::from_le_bytes(crc))
-        } else {
-            None
-        };
-        self.frame.resize(len, 0);
-        let mut frame = std::mem::take(&mut self.frame);
-        let read = self.read_exact(&mut frame);
-        self.frame = frame;
-        read?;
-        if let Some(stored) = stored_crc {
-            let computed = crc32(&self.frame);
-            if computed != stored {
-                return Err(WireError::Crc { stored, computed });
-            }
+        if !framing(self.version).read_from(&mut self.source, &mut self.frame)? {
+            return Ok(None);
         }
         let (event, used) = self.decoder.decode(&self.frame)?;
-        if used != len {
+        if used != self.frame.len() {
             // A frame with trailing garbage is as corrupt as a short one.
             return Err(WireError::Truncated);
         }
         Ok(Some(event))
-    }
-
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), WireError> {
-        self.source.read_exact(buf).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => WireError::Truncated,
-            _ => WireError::Io(e),
-        })
-    }
-
-    /// Reads a varint byte-by-byte; `None` when the stream ends cleanly
-    /// *before* the first byte.
-    fn read_varint(&mut self) -> Result<Option<u64>, WireError> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let mut byte = [0u8; 1];
-            match self.source.read(&mut byte) {
-                Ok(0) if shift == 0 => return Ok(None),
-                Ok(0) => return Err(WireError::Truncated),
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(WireError::Io(e)),
-            }
-            if shift >= 64 || (shift == 63 && byte[0] > 1) {
-                return Err(WireError::VarintOverflow);
-            }
-            value |= u64::from(byte[0] & 0x7f) << shift;
-            if byte[0] & 0x80 == 0 {
-                return Ok(Some(value));
-            }
-            shift += 7;
-        }
     }
 }
 
@@ -398,25 +333,6 @@ impl RecoveryReport {
     }
 }
 
-/// Parses a varint from `buf[pos..]`; returns `(value, new_pos)`.
-/// `Ok(None)` when the buffer ends before the varint does.
-fn slice_varint(buf: &[u8], mut pos: usize) -> Result<Option<(u64, usize)>, WireError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = buf.get(pos) else { return Ok(None) };
-        pos += 1;
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(WireError::VarintOverflow);
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(Some((value, pos)));
-        }
-        shift += 7;
-    }
-}
-
 /// Scans a journal byte-for-byte, salvaging every decodable frame from
 /// the front and classifying whatever ended the stream. Never fails:
 /// the worst input yields zero events and a [`RecoveryOutcome::BadHeader`].
@@ -430,21 +346,19 @@ pub fn recover(buf: &[u8]) -> (Vec<SecpertEvent>, RecoveryReport) {
         outcome: RecoveryOutcome::BadHeader,
         error: None,
     };
-    let version = match read_header_any(buf) {
-        Ok(v) if (JOURNAL_V1..=JOURNAL_V3).contains(&v) => v,
-        Ok(v) => {
-            report.error = Some(WireError::BadVersion(v).to_string());
-            return (Vec::new(), report);
-        }
+    let version = match read_journal_header(buf) {
+        Ok(v) => v,
         Err(e) => {
-            report.error = Some(e.to_string());
+            report.error = Some(WireError::from(e).to_string());
             return (Vec::new(), report);
         }
     };
     report.version = version;
+    let framing = framing(version);
     let mut decoder = EventDecoder::for_version(event_version(version));
     let mut events = Vec::new();
-    let mut pos = HEADER_LEN;
+    let mut cur = Cursor::new(buf);
+    cur.take(HEADER_LEN).expect("the header was just read");
 
     let finish = |mut report: RecoveryReport, pos: usize| {
         report.bytes_scanned = pos;
@@ -453,94 +367,53 @@ pub fn recover(buf: &[u8]) -> (Vec<SecpertEvent>, RecoveryReport) {
     };
 
     loop {
-        if pos == buf.len() {
+        let pos = cur.position();
+        if cur.is_empty() {
             report.outcome = RecoveryOutcome::CleanEof;
             return (events, finish(report, pos));
         }
-        // Frame boundary after the length prefix, when the prefix parses:
-        // used to count undecodable-but-framed remains after corruption.
-        let (len, body_start) = match slice_varint(buf, pos) {
-            Ok(Some((len, p))) => (len, p),
-            Ok(None) => {
-                report.outcome = RecoveryOutcome::TornTail;
-                report.frames_dropped = 1;
-                report.error = Some(WireError::Truncated.to_string());
-                return (events, finish(report, pos));
-            }
-            Err(e) => {
-                report.outcome = RecoveryOutcome::MidStreamCorruption;
-                report.frames_dropped = 1;
-                report.error = Some(e.to_string());
-                return (events, finish(report, pos));
-            }
-        };
-        if len > MAX_FRAME_LEN {
-            report.outcome = RecoveryOutcome::MidStreamCorruption;
-            report.frames_dropped = 1;
-            report.error = Some(WireError::FrameTooLarge(len).to_string());
-            return (events, finish(report, pos));
-        }
-        let crc_len = if version >= JOURNAL_V2 { 4 } else { 0 };
-        let payload_start = body_start + crc_len;
-        let frame_end = payload_start + len as usize;
-        if frame_end > buf.len() || payload_start > buf.len() {
-            report.outcome = RecoveryOutcome::TornTail;
-            report.frames_dropped = 1;
-            report.error = Some(WireError::Truncated.to_string());
-            return (events, finish(report, pos));
-        }
-        let payload = &buf[payload_start..frame_end];
-        let failure = if version >= JOURNAL_V2 {
-            let stored =
-                u32::from_le_bytes(buf[body_start..payload_start].try_into().expect("4 bytes"));
-            let computed = crc32(payload);
-            if computed != stored {
-                Some(WireError::Crc { stored, computed })
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        let failure = match failure {
-            Some(e) => Some(e),
-            None => match decoder.decode(payload) {
-                Ok((event, used)) if used == len as usize => {
+        let failure = match framing.read(&mut cur) {
+            Ok(payload) => match decoder.decode(payload) {
+                Ok((event, used)) if used == payload.len() => {
                     events.push(event);
                     report.frames_ok += 1;
-                    pos = frame_end;
                     continue;
                 }
-                Ok(_) => Some(WireError::Truncated),
-                Err(e) => Some(e),
+                Ok(_) => WireError::Truncated,
+                Err(e) => e,
             },
+            Err(e @ FrameError::Crc { .. }) => e.into(),
+            Err(e) => {
+                // The frame itself is unreadable: cut short (a torn
+                // tail) or a corrupt length prefix.
+                report.outcome = if matches!(e, FrameError::Truncated) {
+                    RecoveryOutcome::TornTail
+                } else {
+                    RecoveryOutcome::MidStreamCorruption
+                };
+                report.frames_dropped = 1;
+                report.error = Some(WireError::from(e).to_string());
+                return (events, finish(report, pos));
+            }
         };
         // A complete frame was present but unusable: corruption, with a
         // best-effort structural walk of what framing remains.
         report.outcome = RecoveryOutcome::MidStreamCorruption;
-        report.error = failure.map(|e| e.to_string());
-        report.frames_dropped = 1 + walk_frames(buf, frame_end, version);
+        report.error = Some(failure.to_string());
+        report.frames_dropped = 1 + walk_frames(cur, framing);
         return (events, finish(report, pos));
     }
 }
 
-/// Counts structurally plausible frames from `pos` on (length prefixes
-/// only — nothing is decoded). Used to estimate losses past a corrupt
-/// frame.
-fn walk_frames(buf: &[u8], mut pos: usize, version: u8) -> u64 {
-    let crc_len = if version >= JOURNAL_V2 { 4 } else { 0 };
+/// Counts structurally plausible frames left in `cur` (nothing is
+/// decoded; a CRC mismatch still counts as a frame). Used to estimate
+/// losses past a corrupt frame.
+fn walk_frames(mut cur: Cursor<'_>, framing: Framing) -> u64 {
     let mut frames = 0;
-    while pos < buf.len() {
-        match slice_varint(buf, pos) {
-            Ok(Some((len, body_start))) if len <= MAX_FRAME_LEN => {
-                let end = body_start + crc_len + len as usize;
-                if end > buf.len() {
-                    return frames + 1; // a final torn frame
-                }
-                frames += 1;
-                pos = end;
-            }
-            _ => return frames + 1, // unframeable remainder counts once
+    while !cur.is_empty() {
+        match framing.read(&mut cur) {
+            Ok(_) | Err(FrameError::Crc { .. }) => frames += 1,
+            Err(_) => return frames + 1, // a torn or unframeable remainder counts once
         }
     }
     frames
@@ -961,8 +834,8 @@ mod tests {
     #[test]
     fn absurd_frame_length_is_rejected_before_allocation() {
         let mut bytes = Vec::new();
-        write_header_versioned(&mut bytes, JOURNAL_V2);
-        put_varint(&mut bytes, u64::MAX >> 1); // claimed frame of 2^63 bytes
+        frame::write_header(&mut bytes, &MAGIC, JOURNAL_V2);
+        frame::put_varint(&mut bytes, u64::MAX >> 1); // claimed frame of 2^63 bytes
         let mut reader = JournalReader::new(&bytes[..]).unwrap();
         assert!(matches!(reader.next_event(), Err(WireError::FrameTooLarge(_))));
     }

@@ -48,4 +48,4 @@ pub use journal::{
     JOURNAL_V1, JOURNAL_V2, JOURNAL_V3,
 };
 pub use pool::{AnalystPool, Backpressure, PoolConfig, PoolReport, SessionId, ShardStats};
-pub use wire::{crc32, EventDecoder, EventEncoder, WireError, MAX_FRAME_LEN};
+pub use wire::{EventDecoder, EventEncoder, WireError, MAX_FRAME_LEN};

@@ -3,19 +3,17 @@
 //!
 //! The paper (§6.1.2, Figure 1) describes Harrier streaming `resource
 //! access` / `data transfer` events to Secpert over an event protocol;
-//! this module is that protocol's on-the-wire shape. Layout:
+//! this module is that protocol's on-the-wire shape, built from the
+//! shared [`frame`] codec:
 //!
 //! * **Stream header** — magic `HTHW` + a version byte, written once per
 //!   stream (see [`write_header`] / [`read_header`]).
-//! * **Varints** — all integers are LEB128 (7 bits per byte, high bit =
-//!   continuation), so the common small pids/times/frequencies cost one
-//!   byte.
+//! * **Varints** — all integers are LEB128, so the common small
+//!   pids/times/frequencies cost one byte.
 //! * **String interning** — resource names, syscall names and server
-//!   addresses repeat heavily within a stream. The first occurrence is
-//!   sent inline (`0` marker, length, UTF-8 bytes) and assigns the next
-//!   table index; later occurrences send `index + 1` as a single varint.
-//!   Encoder and decoder grow identical tables, so a stream is
-//!   self-describing but must be decoded in order.
+//!   addresses repeat heavily within a stream, so they go through the
+//!   codec's order-dependent [`Interner`]. A stream is self-describing
+//!   but must be decoded in order.
 //! * **Events** — a tag byte (`0` = `ResourceAccess`, `1` =
 //!   `DataTransfer`) followed by the variant's fields in declaration
 //!   order. `Option` fields are a presence byte; vectors are a count
@@ -24,10 +22,12 @@
 //! Encoding is infallible (it writes to a `Vec<u8>`); decoding returns
 //! [`WireError`] on malformed input and never panics.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use harrier::{intern_syscall, Origin, ResourceType, SecpertEvent, ServerInfo, SourceInfo};
+use secpert_engine::frame::{
+    self, put_varint, Cursor, FrameError, Interner, StringTable, HEADER_LEN,
+};
 
 /// First bytes of every stream.
 pub const MAGIC: [u8; 4] = *b"HTHW";
@@ -114,64 +114,26 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> WireError {
+        match e {
+            FrameError::Io(e) => WireError::Io(e),
+            FrameError::BadMagic(m) => WireError::BadMagic(m),
+            FrameError::BadVersion(v) => WireError::BadVersion(v),
+            FrameError::Truncated => WireError::Truncated,
+            FrameError::VarintOverflow => WireError::VarintOverflow,
+            FrameError::TooLarge(len) => WireError::FrameTooLarge(len),
+            FrameError::Crc { stored, computed } => WireError::Crc { stored, computed },
+            FrameError::BadStringRef(i) => WireError::BadStringRef(i),
+            FrameError::Utf8(e) => WireError::Utf8(e),
+        }
+    }
+}
+
 /// Writes the stream header (magic + version).
 pub fn write_header(out: &mut Vec<u8>) {
-    write_header_versioned(out, VERSION);
+    frame::write_header(out, &MAGIC, VERSION);
 }
-
-/// Writes a stream header with an explicit version byte (journal v2
-/// streams share the magic but carry their own framing version).
-pub fn write_header_versioned(out: &mut Vec<u8>, version: u8) {
-    out.extend_from_slice(&MAGIC);
-    out.push(version);
-}
-
-/// Checks the magic and returns the stream's version byte, leaving the
-/// version policy to the caller (journals accept more versions than raw
-/// wire streams do).
-///
-/// # Errors
-///
-/// [`WireError::BadMagic`] on foreign streams, [`WireError::Truncated`]
-/// on short input.
-pub fn read_header_any(buf: &[u8]) -> Result<u8, WireError> {
-    let header = buf.get(..HEADER_LEN).ok_or(WireError::Truncated)?;
-    if header[..4] != MAGIC {
-        return Err(WireError::BadMagic([header[0], header[1], header[2], header[3]]));
-    }
-    Ok(header[4])
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 (IEEE 802.3 polynomial) of a byte slice — the per-frame
-/// checksum of journal v2.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
-    }
-    !crc
-}
-
-/// Size of the stream header in bytes.
-pub const HEADER_LEN: usize = MAGIC.len() + 1;
 
 /// Checks the stream header; returns the number of bytes consumed.
 ///
@@ -180,42 +142,8 @@ pub const HEADER_LEN: usize = MAGIC.len() + 1;
 /// [`WireError::BadMagic`] / [`WireError::BadVersion`] on foreign or
 /// future streams, [`WireError::Truncated`] on short input.
 pub fn read_header(buf: &[u8]) -> Result<usize, WireError> {
-    let header = buf.get(..HEADER_LEN).ok_or(WireError::Truncated)?;
-    if header[..4] != MAGIC {
-        return Err(WireError::BadMagic([header[0], header[1], header[2], header[3]]));
-    }
-    if !(MIN_VERSION..=VERSION).contains(&header[4]) {
-        return Err(WireError::BadVersion(header[4]));
-    }
+    frame::read_header(buf, &MAGIC, MIN_VERSION..=VERSION)?;
     Ok(HEADER_LEN)
-}
-
-/// Appends `v` as an LEB128 varint — the codec's integer shape, exposed
-/// for framing layers (the journal and the serve protocol) that wrap
-/// event payloads in varint-length frames.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Decodes one LEB128 varint from the front of `buf`; returns the value
-/// and the number of bytes consumed.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] on short input, [`WireError::VarintOverflow`]
-/// past 64 bits.
-pub fn read_varint(buf: &[u8]) -> Result<(u64, usize), WireError> {
-    let mut cur = Cursor { buf, pos: 0 };
-    let value = cur.varint()?;
-    Ok((value, cur.pos))
 }
 
 /// Encodes [`SecpertEvent`]s into a stream, growing the string table as
@@ -223,7 +151,7 @@ pub fn read_varint(buf: &[u8]) -> Result<(u64, usize), WireError> {
 /// [`EventDecoder`] in the same order.
 #[derive(Debug)]
 pub struct EventEncoder {
-    strings: HashMap<String, u64>,
+    strings: Interner,
     version: u8,
 }
 
@@ -243,12 +171,12 @@ impl EventEncoder {
     /// An encoder for an explicit event-codec version (legacy journal
     /// framings imply legacy event records).
     pub fn for_version(version: u8) -> EventEncoder {
-        EventEncoder { strings: HashMap::new(), version }
+        EventEncoder { strings: Interner::default(), version }
     }
 
     /// Number of distinct strings interned so far.
     pub fn interned_strings(&self) -> usize {
-        self.strings.len()
+        self.strings.interned()
     }
 
     /// Appends one event's encoding to `out`.
@@ -269,7 +197,7 @@ impl EventEncoder {
             } => {
                 out.push(TAG_RESOURCE_ACCESS);
                 put_varint(out, u64::from(*pid));
-                self.put_str(out, syscall);
+                self.strings.put(out, syscall);
                 self.put_source(out, resource);
                 self.put_origin(out, origin);
                 put_varint(out, *time);
@@ -296,7 +224,7 @@ impl EventEncoder {
             } => {
                 out.push(TAG_DATA_TRANSFER);
                 put_varint(out, u64::from(*pid));
-                self.put_str(out, syscall);
+                self.strings.put(out, syscall);
                 put_varint(out, data_sources.len() as u64);
                 for source in data_sources {
                     self.put_source(out, source);
@@ -316,20 +244,9 @@ impl EventEncoder {
         }
     }
 
-    fn put_str(&mut self, out: &mut Vec<u8>, s: &str) {
-        if let Some(idx) = self.strings.get(s) {
-            put_varint(out, idx + 1);
-            return;
-        }
-        put_varint(out, 0);
-        put_varint(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
-        self.strings.insert(s.to_string(), self.strings.len() as u64);
-    }
-
     fn put_source(&mut self, out: &mut Vec<u8>, source: &SourceInfo) {
         out.push(source.kind.code());
-        self.put_str(out, &source.name);
+        self.strings.put(out, &source.name);
     }
 
     fn put_origin(&mut self, out: &mut Vec<u8>, origin: &Origin) {
@@ -353,7 +270,7 @@ impl EventEncoder {
         match server {
             Some(info) => {
                 out.push(1);
-                self.put_str(out, &info.address);
+                self.strings.put(out, &info.address);
                 self.put_origin(out, &info.origin);
             }
             None => out.push(0),
@@ -365,51 +282,13 @@ impl EventEncoder {
 /// string table.
 #[derive(Debug)]
 pub struct EventDecoder {
-    strings: Vec<String>,
+    strings: StringTable,
     version: u8,
 }
 
 impl Default for EventDecoder {
     fn default() -> EventDecoder {
         EventDecoder::new()
-    }
-}
-
-/// Cursor over the undecoded remainder of a buffer (shared with the
-/// digest codec in [`crate::digest_wire`]).
-pub(crate) struct Cursor<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl Cursor<'_> {
-    pub(crate) fn byte(&mut self) -> Result<u8, WireError> {
-        let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(bytes)
-    }
-
-    pub(crate) fn varint(&mut self) -> Result<u64, WireError> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(WireError::VarintOverflow);
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
     }
 }
 
@@ -423,7 +302,7 @@ impl EventDecoder {
     /// A decoder for an explicit event-codec version (version-1 streams
     /// predate the `DataTransfer` byte counter and decode it as 0).
     pub fn for_version(version: u8) -> EventDecoder {
-        EventDecoder { strings: Vec::new(), version }
+        EventDecoder { strings: StringTable::default(), version }
     }
 
     /// Decodes one event from the front of `buf`; returns the event and
@@ -434,11 +313,11 @@ impl EventDecoder {
     /// Any [`WireError`] on malformed input. The decoder's string table
     /// may have grown by then; discard the decoder after an error.
     pub fn decode(&mut self, buf: &[u8]) -> Result<(SecpertEvent, usize), WireError> {
-        let mut cur = Cursor { buf, pos: 0 };
+        let mut cur = Cursor::new(buf);
         let event = match cur.byte()? {
             TAG_RESOURCE_ACCESS => SecpertEvent::ResourceAccess {
                 pid: cur.varint()? as u32,
-                syscall: intern_syscall(&self.get_str(&mut cur)?),
+                syscall: intern_syscall(self.strings.get(&mut cur)?),
                 resource: self.get_source(&mut cur)?,
                 origin: self.get_origin(&mut cur)?,
                 time: cur.varint()?,
@@ -451,7 +330,7 @@ impl EventDecoder {
             },
             TAG_DATA_TRANSFER => SecpertEvent::DataTransfer {
                 pid: cur.varint()? as u32,
-                syscall: intern_syscall(&self.get_str(&mut cur)?),
+                syscall: intern_syscall(self.strings.get(&mut cur)?),
                 data_sources: {
                     let n = cur.varint()? as usize;
                     let mut sources = Vec::with_capacity(n.min(64));
@@ -472,24 +351,13 @@ impl EventDecoder {
             },
             tag => return Err(WireError::BadTag(tag)),
         };
-        Ok((event, cur.pos))
-    }
-
-    fn get_str(&mut self, cur: &mut Cursor<'_>) -> Result<String, WireError> {
-        let marker = cur.varint()?;
-        if marker == 0 {
-            let len = cur.varint()? as usize;
-            let text = std::str::from_utf8(cur.take(len)?).map_err(WireError::Utf8)?;
-            self.strings.push(text.to_string());
-            return Ok(text.to_string());
-        }
-        self.strings.get(marker as usize - 1).cloned().ok_or(WireError::BadStringRef(marker - 1))
+        Ok((event, cur.position()))
     }
 
     fn get_source(&mut self, cur: &mut Cursor<'_>) -> Result<SourceInfo, WireError> {
         let code = cur.byte()?;
         let kind = ResourceType::from_code(code).ok_or(WireError::BadResourceType(code))?;
-        let name = self.get_str(cur)?;
+        let name = self.strings.get(cur)?.to_string();
         Ok(SourceInfo { kind, name })
     }
 
@@ -513,7 +381,7 @@ impl EventDecoder {
         match cur.byte()? {
             0 => Ok(None),
             _ => {
-                let address = self.get_str(cur)?;
+                let address = self.strings.get(cur)?.to_string();
                 let origin = self.get_origin(cur)?;
                 Ok(Some(ServerInfo { address, origin }))
             }
@@ -615,21 +483,6 @@ mod tests {
             second.len(),
             first.len()
         );
-    }
-
-    #[test]
-    fn crc32_known_answers() {
-        // The IEEE 802.3 check value, plus the empty-input identity.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"abc"), crc32(b"abd"), "single-bit change must move the checksum");
-    }
-
-    #[test]
-    fn header_any_returns_the_version() {
-        assert_eq!(read_header_any(b"HTHW\x02rest").unwrap(), 2);
-        assert!(matches!(read_header_any(b"NOPE\x01"), Err(WireError::BadMagic(_))));
-        assert!(matches!(read_header_any(b"HTH"), Err(WireError::Truncated)));
     }
 
     #[test]

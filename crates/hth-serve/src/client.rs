@@ -27,6 +27,10 @@ use crate::ServeError;
 pub struct Client {
     stream: TcpStream,
     encoder: EventEncoder,
+    /// The framed request being sent (reused across requests).
+    out: Vec<u8>,
+    /// The payload of the ack being read (reused across acks).
+    payload: Vec<u8>,
     faults: Arc<FaultPlan>,
     /// Requests sent per session id, for fault-plan coordinates.
     sent: std::collections::BTreeMap<u64, u64>,
@@ -45,12 +49,14 @@ impl Client {
     ) -> Result<Client, ServeError> {
         let mut stream = TcpStream::connect(addr).map_err(ServeError::Io)?;
         let _ = stream.set_nodelay(true);
-        let mut header = Vec::with_capacity(wire::HEADER_LEN);
+        let mut header = Vec::new();
         wire::write_header(&mut header);
         stream.write_all(&header).map_err(ServeError::Io)?;
         Ok(Client {
             stream,
             encoder: EventEncoder::new(),
+            out: Vec::new(),
+            payload: Vec::new(),
             faults,
             sent: std::collections::BTreeMap::new(),
         })
@@ -84,8 +90,9 @@ impl Client {
 
     /// Fetches the server's counters.
     pub fn stats(&mut self) -> Result<ServeStats, ServeError> {
-        let framed = encode_request(&Request::Stats, &mut self.encoder);
-        self.stream.write_all(&framed).map_err(ServeError::Io)?;
+        self.out.clear();
+        encode_request(&Request::Stats, &mut self.encoder, &mut self.out);
+        self.stream.write_all(&self.out).map_err(ServeError::Io)?;
         match self.read_ack()? {
             Ack::Stats(stats) => Ok(stats),
             Ack::Err { message } => Err(ServeError::Protocol(message)),
@@ -99,7 +106,9 @@ impl Client {
     }
 
     fn roundtrip(&mut self, session: u64, request: &Request) -> Result<u64, ServeError> {
-        let framed = encode_request(request, &mut self.encoder);
+        self.out.clear();
+        encode_request(request, &mut self.encoder, &mut self.out);
+        let framed = &self.out;
         let nth = self.sent.entry(session).or_insert(0);
         *nth += 1;
         match self.faults.connection_fault(session, *nth) {
@@ -115,7 +124,7 @@ impl Client {
                 std::thread::sleep(Duration::from_millis(millis));
                 self.stream.write_all(&framed[split..]).map_err(ServeError::Io)?;
             }
-            None => self.stream.write_all(&framed).map_err(ServeError::Io)?,
+            None => self.stream.write_all(framed).map_err(ServeError::Io)?,
         }
         match self.read_ack()? {
             Ack::Ok { value } => Ok(value),
@@ -125,8 +134,10 @@ impl Client {
     }
 
     fn read_ack(&mut self) -> Result<Ack, ServeError> {
-        let payload = read_frame(&mut self.stream)?.ok_or(ServeError::Disconnected)?;
-        decode_ack(&payload)
+        if !read_frame(&mut self.stream, &mut self.payload)? {
+            return Err(ServeError::Disconnected);
+        }
+        decode_ack(&self.payload)
     }
 }
 

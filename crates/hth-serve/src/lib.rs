@@ -33,6 +33,7 @@ pub mod table;
 use std::fmt;
 
 use harrier::{Origin, ResourceType, SecpertEvent, SourceInfo};
+use secpert_engine::frame::FrameError;
 
 pub use client::{run_load, Client, LoadReport};
 pub use protocol::{Ack, Request, ServeStats};
@@ -74,6 +75,18 @@ impl std::error::Error for ServeError {}
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> ServeError {
         ServeError::Io(e)
+    }
+}
+
+impl From<FrameError> for ServeError {
+    fn from(e: FrameError) -> ServeError {
+        match e {
+            FrameError::Io(e) => ServeError::Io(e),
+            FrameError::TooLarge(len) => {
+                ServeError::Protocol(format!("frame of {len} bytes exceeds cap"))
+            }
+            e => ServeError::Wire(e.into()),
+        }
     }
 }
 

@@ -5,12 +5,9 @@
 //! is also how the server tells a protocol client from an HTTP scrape:
 //! the first bytes are either [`hth_fleet::wire::MAGIC`] or `GET `.
 //!
-//! After the preamble, both directions speak length-prefixed frames with
-//! the journal's integrity envelope:
-//!
-//! ```text
-//! [varint payload_len] [crc32(payload) LE u32] [payload]
-//! ```
+//! After the preamble, both directions speak the CRC frames of the
+//! shared [`frame`](secpert_engine::frame) codec, the same envelope a
+//! journal frame has.
 //!
 //! The first payload byte is a tag. Requests:
 //!
@@ -39,12 +36,16 @@
 //! that fails its CRC or arrives truncated poisons only the connection
 //! that sent it, never the sessions it was feeding.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use harrier::SecpertEvent;
-use hth_fleet::wire::{self, EventDecoder, EventEncoder, WireError, MAX_FRAME_LEN};
+use hth_fleet::wire::{EventDecoder, EventEncoder, MAX_FRAME_LEN};
+use secpert_engine::frame::{put_bytes, put_varint, Cursor, Framing};
 
 use crate::ServeError;
+
+/// Requests and acks are CRC frames, capped like a journal frame.
+const FRAMING: Framing = Framing::new(true, MAX_FRAME_LEN);
 
 /// A request frame, decoded.
 #[derive(Clone, Debug, PartialEq)]
@@ -137,211 +138,124 @@ const TAG_OK: u8 = 0x80;
 const TAG_ERR: u8 = 0x81;
 const TAG_STATS_ACK: u8 = 0x82;
 
-/// Wraps `payload` in the journal frame envelope.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 9);
-    wire::put_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&wire::crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Reads one frame from `stream` into `payload`, replacing its
+/// contents. Returns `Ok(false)` on a clean EOF at a frame boundary;
+/// mid-frame EOF, an oversized length or a CRC mismatch are errors (the
+/// caller drops the connection, losing only whatever was unacked on it).
+pub fn read_frame(stream: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, ServeError> {
+    Ok(FRAMING.read_from(stream, payload)?)
 }
 
-/// Reads one frame payload from `stream`. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary; mid-frame EOF, an oversized length or a CRC
-/// mismatch are errors (the caller drops the connection, losing only
-/// whatever was unacked on it).
-pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
-    // Varint length, byte at a time (we cannot over-read a stream).
-    let mut len: u64 = 0;
-    let mut shift = 0u32;
-    let mut first = true;
-    loop {
-        let mut byte = [0u8; 1];
-        match stream.read(&mut byte) {
-            Ok(0) if first => return Ok(None),
-            Ok(0) => return Err(ServeError::Wire(WireError::Truncated)),
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof && first => return Ok(None),
-            Err(e) => return Err(ServeError::Io(e)),
-        }
-        first = false;
-        if shift >= 64 {
-            return Err(ServeError::Wire(WireError::VarintOverflow));
-        }
-        len |= u64::from(byte[0] & 0x7f) << shift;
-        if byte[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(ServeError::Protocol(format!("frame of {len} bytes exceeds cap")));
-    }
-    let mut crc = [0u8; 4];
-    stream.read_exact(&mut crc).map_err(eof_as_truncated)?;
-    let stored = u32::from_le_bytes(crc);
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload).map_err(eof_as_truncated)?;
-    let computed = wire::crc32(&payload);
-    if stored != computed {
-        return Err(ServeError::Wire(WireError::Crc { stored, computed }));
-    }
-    Ok(Some(payload))
-}
-
-fn eof_as_truncated(e: std::io::Error) -> ServeError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        ServeError::Wire(WireError::Truncated)
-    } else {
-        ServeError::Io(e)
-    }
-}
-
-/// Encodes a request into a framed byte vector, ready to write.
-pub fn encode_request(req: &Request, encoder: &mut EventEncoder) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match req {
+/// Appends a request to `out` as one frame, ready to write.
+pub fn encode_request(req: &Request, encoder: &mut EventEncoder, out: &mut Vec<u8>) {
+    FRAMING.write(out, |payload| match req {
         Request::Open { session } => {
             payload.push(TAG_OPEN);
-            wire::put_varint(&mut payload, *session);
+            put_varint(payload, *session);
         }
         Request::Submit { session, event } => {
             payload.push(TAG_SUBMIT);
-            wire::put_varint(&mut payload, *session);
-            encoder.encode(event, &mut payload);
+            put_varint(payload, *session);
+            encoder.encode(event, payload);
         }
         Request::Flush => payload.push(TAG_FLUSH),
         Request::Close { session } => {
             payload.push(TAG_CLOSE);
-            wire::put_varint(&mut payload, *session);
+            put_varint(payload, *session);
         }
         Request::Stats => payload.push(TAG_STATS),
         Request::Shutdown => payload.push(TAG_SHUTDOWN),
         Request::Label { session, label } => {
             payload.push(TAG_LABEL);
-            wire::put_varint(&mut payload, *session);
-            wire::put_varint(&mut payload, label.len() as u64);
-            payload.extend_from_slice(label.as_bytes());
+            put_varint(payload, *session);
+            put_bytes(payload, label.as_bytes());
         }
-    }
-    frame(&payload)
+    });
 }
 
 /// Decodes a request payload (the bytes inside the frame).
 pub fn decode_request(payload: &[u8], decoder: &mut EventDecoder) -> Result<Request, ServeError> {
-    let (&tag, rest) =
-        payload.split_first().ok_or_else(|| ServeError::Protocol("empty frame".into()))?;
+    let mut cur = Cursor::new(payload);
+    let tag = cur.byte().map_err(|_| ServeError::Protocol("empty frame".into()))?;
     let req = match tag {
-        TAG_OPEN => {
-            let (session, n) = wire::read_varint(rest)?;
-            expect_consumed(rest, n)?;
-            Request::Open { session }
-        }
+        TAG_OPEN => Request::Open { session: cur.varint()? },
         TAG_SUBMIT => {
-            let (session, n) = wire::read_varint(rest)?;
-            let (event, used) = decoder.decode(&rest[n..])?;
-            expect_consumed(rest, n + used)?;
+            let session = cur.varint()?;
+            let rest = cur.take(cur.remaining())?;
+            let (event, used) = decoder.decode(rest)?;
+            if used != rest.len() {
+                return Err(trailing_bytes());
+            }
             Request::Submit { session, event }
         }
         TAG_FLUSH => Request::Flush,
-        TAG_CLOSE => {
-            let (session, n) = wire::read_varint(rest)?;
-            expect_consumed(rest, n)?;
-            Request::Close { session }
-        }
+        TAG_CLOSE => Request::Close { session: cur.varint()? },
         TAG_STATS => Request::Stats,
         TAG_SHUTDOWN => Request::Shutdown,
         TAG_LABEL => {
-            let (session, n) = wire::read_varint(rest)?;
-            let (len, m) = wire::read_varint(&rest[n..])?;
-            let start = n + m;
-            let bytes = rest
-                .get(start..start + len as usize)
-                .ok_or(ServeError::Wire(WireError::Truncated))?;
-            expect_consumed(rest, start + len as usize)?;
-            let label = std::str::from_utf8(bytes)
+            let session = cur.varint()?;
+            let label = std::str::from_utf8(cur.bytes()?)
                 .map_err(|_| ServeError::Protocol("label not UTF-8".into()))?
                 .to_string();
             Request::Label { session, label }
         }
         other => return Err(ServeError::Protocol(format!("unknown request tag {other:#x}"))),
     };
-    if matches!(req, Request::Flush | Request::Stats | Request::Shutdown) && !rest.is_empty() {
-        return Err(ServeError::Protocol("trailing bytes in request".into()));
+    if !cur.is_empty() {
+        return Err(trailing_bytes());
     }
     Ok(req)
 }
 
-fn expect_consumed(rest: &[u8], used: usize) -> Result<(), ServeError> {
-    if used == rest.len() {
-        Ok(())
-    } else {
-        Err(ServeError::Protocol("trailing bytes in request".into()))
-    }
+fn trailing_bytes() -> ServeError {
+    ServeError::Protocol("trailing bytes in request".into())
 }
 
-/// Encodes an ack into a framed byte vector.
-pub fn encode_ack(ack: &Ack) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match ack {
+/// Appends an ack to `out` as one frame.
+pub fn encode_ack(ack: &Ack, out: &mut Vec<u8>) {
+    FRAMING.write(out, |payload| match ack {
         Ack::Ok { value } => {
             payload.push(TAG_OK);
-            wire::put_varint(&mut payload, *value);
+            put_varint(payload, *value);
         }
         Ack::Err { message } => {
             payload.push(TAG_ERR);
-            wire::put_varint(&mut payload, message.len() as u64);
-            payload.extend_from_slice(message.as_bytes());
+            put_bytes(payload, message.as_bytes());
         }
         Ack::Stats(stats) => {
             payload.push(TAG_STATS_ACK);
             for v in stats.as_fields() {
-                wire::put_varint(&mut payload, v);
+                put_varint(payload, v);
             }
         }
-    }
-    frame(&payload)
+    });
 }
 
 /// Decodes an ack payload (the bytes inside the frame).
 pub fn decode_ack(payload: &[u8]) -> Result<Ack, ServeError> {
-    let (&tag, rest) =
-        payload.split_first().ok_or_else(|| ServeError::Protocol("empty ack".into()))?;
-    match tag {
-        TAG_OK => {
-            let (value, n) = wire::read_varint(rest)?;
-            expect_consumed(rest, n)?;
-            Ok(Ack::Ok { value })
-        }
+    let mut cur = Cursor::new(payload);
+    let tag = cur.byte().map_err(|_| ServeError::Protocol("empty ack".into()))?;
+    let ack = match tag {
+        TAG_OK => Ack::Ok { value: cur.varint()? },
         TAG_ERR => {
-            let (len, n) = wire::read_varint(rest)?;
-            let bytes =
-                rest.get(n..n + len as usize).ok_or(ServeError::Wire(WireError::Truncated))?;
-            expect_consumed(rest, n + len as usize)?;
-            let message = std::str::from_utf8(bytes)
+            let message = std::str::from_utf8(cur.bytes()?)
                 .map_err(|_| ServeError::Protocol("ack message not UTF-8".into()))?
                 .to_string();
-            Ok(Ack::Err { message })
+            Ack::Err { message }
         }
         TAG_STATS_ACK => {
             let mut fields = [0u64; ServeStats::FIELDS];
-            let mut off = 0;
             for f in fields.iter_mut() {
-                let (v, n) = wire::read_varint(&rest[off..])?;
-                *f = v;
-                off += n;
+                *f = cur.varint()?;
             }
-            expect_consumed(rest, off)?;
-            Ok(Ack::Stats(ServeStats::from_fields(fields)))
+            Ack::Stats(ServeStats::from_fields(fields))
         }
-        other => Err(ServeError::Protocol(format!("unknown ack tag {other:#x}"))),
+        other => return Err(ServeError::Protocol(format!("unknown ack tag {other:#x}"))),
+    };
+    if !cur.is_empty() {
+        return Err(trailing_bytes());
     }
-}
-
-/// Writes `bytes` fully to the stream (a thin helper so call sites stay
-/// symmetrical with [`read_frame`]).
-pub fn write_all(stream: &mut impl Write, bytes: &[u8]) -> Result<(), ServeError> {
-    stream.write_all(bytes).map_err(ServeError::Io)
+    Ok(ack)
 }
 
 impl ServeStats {
@@ -381,6 +295,7 @@ impl ServeStats {
 mod tests {
     use super::*;
     use harrier::{Origin, ResourceType, SourceInfo};
+    use hth_fleet::WireError;
 
     fn sample_event(i: u64) -> SecpertEvent {
         SecpertEvent::ResourceAccess {
@@ -413,12 +328,13 @@ mod tests {
         ];
         let mut stream = Vec::new();
         for req in &requests {
-            stream.extend_from_slice(&encode_request(req, &mut enc));
+            encode_request(req, &mut enc, &mut stream);
         }
         let mut dec = EventDecoder::new();
         let mut cursor = std::io::Cursor::new(stream);
         let mut decoded = Vec::new();
-        while let Some(payload) = read_frame(&mut cursor).expect("frame") {
+        let mut payload = Vec::new();
+        while read_frame(&mut cursor, &mut payload).expect("frame") {
             decoded.push(decode_request(&payload, &mut dec).expect("request"));
         }
         assert_eq!(decoded, requests);
@@ -443,9 +359,11 @@ mod tests {
             Ack::Err { message: "session table is draining".into() },
             Ack::Stats(stats),
         ] {
-            let framed = encode_ack(&ack);
+            let mut framed = Vec::new();
+            encode_ack(&ack, &mut framed);
             let mut cursor = std::io::Cursor::new(framed);
-            let payload = read_frame(&mut cursor).expect("frame").expect("payload");
+            let mut payload = Vec::new();
+            assert!(read_frame(&mut cursor, &mut payload).expect("frame"), "payload");
             assert_eq!(decode_ack(&payload).expect("ack"), ack);
         }
     }
@@ -453,27 +371,48 @@ mod tests {
     #[test]
     fn corrupt_and_truncated_frames_are_rejected() {
         let mut enc = EventEncoder::new();
-        let good = encode_request(&Request::Open { session: 1 }, &mut enc);
+        let mut good = Vec::new();
+        encode_request(&Request::Open { session: 1 }, &mut enc, &mut good);
         // Flip a payload bit: CRC mismatch.
         let mut torn = good.clone();
         let last = torn.len() - 1;
         torn[last] ^= 1;
-        let err = read_frame(&mut std::io::Cursor::new(torn)).unwrap_err();
+        let mut payload = Vec::new();
+        let err = read_frame(&mut std::io::Cursor::new(torn), &mut payload).unwrap_err();
         assert!(matches!(err, ServeError::Wire(WireError::Crc { .. })), "{err:?}");
         // Cut the frame mid-payload: truncated, not clean EOF.
         let cut = &good[..good.len() - 1];
-        let err = read_frame(&mut std::io::Cursor::new(cut.to_vec())).unwrap_err();
+        let err = read_frame(&mut std::io::Cursor::new(cut.to_vec()), &mut payload).unwrap_err();
         assert!(matches!(err, ServeError::Wire(WireError::Truncated)), "{err:?}");
         // Empty stream: clean EOF.
-        assert!(read_frame(&mut std::io::Cursor::new(Vec::new())).expect("eof").is_none());
+        assert!(!read_frame(&mut std::io::Cursor::new(Vec::new()), &mut payload).expect("eof"));
     }
 
     #[test]
     fn oversized_frames_are_capped() {
         let mut framed = Vec::new();
-        wire::put_varint(&mut framed, MAX_FRAME_LEN + 1);
+        put_varint(&mut framed, MAX_FRAME_LEN + 1);
         framed.extend_from_slice(&[0u8; 4]);
-        let err = read_frame(&mut std::io::Cursor::new(framed)).unwrap_err();
+        let err = read_frame(&mut std::io::Cursor::new(framed), &mut Vec::new()).unwrap_err();
         assert!(matches!(err, ServeError::Protocol(_)), "{err:?}");
+    }
+
+    #[test]
+    fn overlong_frame_lengths_are_rejected() {
+        // A tenth varint byte above 1 would shift bits past 64.
+        let mut framed = vec![0x80; 9];
+        framed.push(0x02);
+        let err = read_frame(&mut std::io::Cursor::new(framed), &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, ServeError::Wire(WireError::VarintOverflow)), "{err:?}");
+    }
+
+    #[test]
+    fn hostile_string_lengths_are_errors_not_panics() {
+        let mut label = vec![TAG_LABEL, 3];
+        put_varint(&mut label, u64::MAX);
+        assert!(decode_request(&label, &mut EventDecoder::new()).is_err());
+        let mut message = vec![TAG_ERR];
+        put_varint(&mut message, u64::MAX);
+        assert!(decode_ack(&message).is_err());
     }
 }

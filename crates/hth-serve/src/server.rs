@@ -24,10 +24,9 @@ use std::time::{Duration, Instant};
 use hth_core::Severity;
 use hth_fleet::wire;
 use hth_trace::MetricsSnapshot;
+use secpert_engine::frame::{self, HEADER_LEN};
 
-use crate::protocol::{
-    decode_request, encode_ack, read_frame, write_all, Ack, Request, ServeStats,
-};
+use crate::protocol::{decode_request, encode_ack, read_frame, Ack, Request, ServeStats};
 use crate::table::{SessionTable, TableConfig};
 use crate::ServeError;
 
@@ -241,28 +240,26 @@ fn handle_protocol(
     sniffed: [u8; 4],
     shared: &Shared,
 ) -> Result<(), ServeError> {
-    let mut header = [0u8; wire::HEADER_LEN];
+    let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&sniffed);
     stream.read_exact(&mut header[4..]).map_err(ServeError::Io)?;
-    let version = wire::read_header_any(&header).map_err(ServeError::Wire)?;
     // The preamble names the *event-codec* version the client will
     // speak; older clients keep working, but journal or digest stream
     // headers are not a protocol opening.
-    if version > wire::VERSION {
-        return Err(ServeError::Wire(hth_fleet::WireError::BadVersion(version)));
-    }
+    let version = frame::read_header(&header, &wire::MAGIC, wire::MIN_VERSION..=wire::VERSION)?;
     let mut decoder = wire::EventDecoder::for_version(version);
+    let (mut payload, mut ack_buf) = (Vec::new(), Vec::new());
     loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return Ok(()),
+        match read_frame(&mut stream, &mut payload) {
+            Ok(true) => {}
+            Ok(false) => return Ok(()),
             Err(e) => {
                 // A torn frame or CRC mismatch poisons the connection
                 // silently from the client's view; leave the evidence.
                 shared.table.capture_protocol_drop(&e.to_string());
                 return Err(e);
             }
-        };
+        }
         let served_at = Instant::now();
         let request = match decode_request(&payload, &mut decoder) {
             Ok(request) => request,
@@ -271,7 +268,7 @@ fn handle_protocol(
                 // the connection then closes (its decoder state may be
                 // out of sync with the encoder's).
                 let ack = Ack::Err { message: format!("bad request: {e}") };
-                let _ = write_all(&mut stream, &encode_ack(&ack));
+                let _ = write_ack(&mut stream, &mut ack_buf, &ack);
                 shared.table.capture_protocol_drop(&e.to_string());
                 return Err(e);
             }
@@ -289,16 +286,23 @@ fn handle_protocol(
             }
             Request::Stats => Ack::Stats(shared.table.stats()),
             Request::Shutdown => {
-                write_all(&mut stream, &encode_ack(&Ack::Ok { value: 0 }))?;
+                write_ack(&mut stream, &mut ack_buf, &Ack::Ok { value: 0 })?;
                 shared.shutdown.store(true, Ordering::SeqCst);
                 let _ = TcpStream::connect(shared.addr);
                 return Ok(());
             }
         };
-        write_all(&mut stream, &encode_ack(&ack))?;
+        write_ack(&mut stream, &mut ack_buf, &ack)?;
         // Server-side ack latency: decoded request to ack on the wire.
         shared.table.observe_ack_micros(served_at.elapsed().as_micros() as u64);
     }
+}
+
+/// Frames `ack` into the connection's reused buffer and sends it.
+fn write_ack(stream: &mut TcpStream, buf: &mut Vec<u8>, ack: &Ack) -> Result<(), ServeError> {
+    buf.clear();
+    encode_ack(ack, buf);
+    stream.write_all(buf).map_err(ServeError::Io)
 }
 
 fn ack_of(result: Result<u64, ServeError>) -> Ack {

@@ -6,8 +6,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use hth_fleet::{ConnectionFault, FaultPlan};
-use hth_serve::{run_load, Client, ServeConfig, ServeSummary, Server, SessionTable, TableConfig};
+use hth_fleet::{ConnectionFault, EventEncoder, FaultPlan};
+use hth_serve::protocol::encode_request;
+use hth_serve::{
+    run_load, Client, Request, ServeConfig, ServeSummary, Server, SessionTable, TableConfig,
+};
 
 fn start_server(
     config: ServeConfig,
@@ -90,6 +93,28 @@ fn loadgen_reports_rates_and_latency() {
     handle.shutdown();
     let summary = join.join().expect("join");
     assert_eq!(summary.stats.events_total, 100);
+}
+
+/// Event-codec version 0 does not exist, so an `HTHW\x00` preamble is
+/// refused: the server closes the connection without acking or applying
+/// the request behind it.
+#[test]
+fn version_zero_preamble_is_refused() {
+    let (addr, _table, handle, join) = start_server(ServeConfig::default());
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+    let mut opening = b"HTHW\x00".to_vec();
+    encode_request(&Request::Open { session: 7 }, &mut EventEncoder::new(), &mut opening);
+    raw.write_all(&opening).expect("preamble and request");
+    let mut reply = [0u8; 64];
+    match raw.read(&mut reply) {
+        Ok(n) => assert_eq!(n, 0, "a version-0 preamble must get no ack"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    let stats = Client::connect(addr).expect("connect").stats().expect("stats");
+    assert_eq!(stats.sessions_open, 0, "the refused connection opened nothing");
+    handle.shutdown();
+    join.join().expect("join");
 }
 
 /// A connection killed mid-frame loses at most its unacked events: the

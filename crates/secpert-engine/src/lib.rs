@@ -57,6 +57,7 @@ mod error;
 mod explain;
 mod expr;
 mod fact;
+pub mod frame;
 pub mod fxhash;
 pub mod parser;
 mod pattern;

@@ -163,11 +163,11 @@ fn serve_stream_bytes_match_golden() {
     let mut encoder = EventEncoder::new();
     let mut requests_bytes = Vec::new();
     for request in requests() {
-        requests_bytes.extend_from_slice(&encode_request(&request, &mut encoder));
+        encode_request(&request, &mut encoder, &mut requests_bytes);
     }
     let mut acks_bytes = Vec::new();
     for ack in acks() {
-        acks_bytes.extend_from_slice(&encode_ack(&ack));
+        encode_ack(&ack, &mut acks_bytes);
     }
     let mut stream = requests_bytes.clone();
     stream.extend_from_slice(&acks_bytes);
@@ -176,13 +176,14 @@ fn serve_stream_bytes_match_golden() {
     let mut decoder = EventDecoder::new();
     let mut source = std::io::Cursor::new(requests_bytes);
     let mut decoded = Vec::new();
-    while let Some(payload) = read_frame(&mut source).expect("request frame") {
+    let mut payload = Vec::new();
+    while read_frame(&mut source, &mut payload).expect("request frame") {
         decoded.push(decode_request(&payload, &mut decoder).expect("request"));
     }
     assert_eq!(decoded, requests());
     let mut source = std::io::Cursor::new(acks_bytes);
     let mut decoded = Vec::new();
-    while let Some(payload) = read_frame(&mut source).expect("ack frame") {
+    while read_frame(&mut source, &mut payload).expect("ack frame") {
         decoded.push(decode_ack(&payload).expect("ack"));
     }
     assert_eq!(decoded, acks());
