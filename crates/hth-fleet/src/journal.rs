@@ -11,9 +11,10 @@
 //!   decodes the wrong event silently).
 //! * **v2** (`HTHW` + `0x02`) — each event is a CRC frame of the shared
 //!   [`frame`] codec: the varint payload length, a CRC32 of the payload
-//!   (4 bytes little-endian), then the payload. Bit rot and torn writes are *detected*, and [`recover`]
-//!   distinguishes a clean end of stream from a torn tail from
-//!   mid-stream corruption, salvaging every decodable prefix.
+//!   (4 bytes little-endian), then the payload. Bit rot and torn writes
+//!   are *detected*, and [`recover`] distinguishes a clean end of stream
+//!   from a torn tail from mid-stream corruption, salvaging every
+//!   decodable prefix.
 //! * **v3** (`HTHW` + `0x03`, the default) — v2's CRC framing carrying
 //!   version-2 *event* payloads (the `bytes` transfer counter that
 //!   fleet correlation sums). v1/v2 journals keep decoding forever;

@@ -69,12 +69,6 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> FrameError {
-        FrameError::Io(e)
-    }
-}
-
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -319,11 +313,6 @@ impl Interner {
         put_varint(out, 0);
         put_bytes(out, s.as_bytes());
         self.known.insert(s.into(), self.known.len() as u64);
-    }
-
-    /// Distinct strings interned so far.
-    pub fn interned(&self) -> usize {
-        self.known.len()
     }
 }
 
@@ -589,7 +578,6 @@ mod tests {
         for s in ["a", "bé", "a", "", "bé"] {
             interner.put(&mut out, s);
         }
-        assert_eq!(interner.interned(), 3);
         let mut table = StringTable::default();
         let mut cur = Cursor::new(&out);
         let decoded: Vec<String> =
