@@ -552,8 +552,9 @@ impl Secpert {
     /// the engine's facts, refraction set, and counters (see
     /// [`EngineSnapshot`]). The layout is `"HTHS"` + a version byte +
     /// one CRC frame of the shared [`frame`] codec, so torn writes are
-    /// detected on load exactly like a torn journal tail. Warnings are *not* carried — they live in
-    /// the host's sink, and a resumed expert starts with an empty one.
+    /// detected on load exactly like a torn journal tail. Warnings are
+    /// *not* carried — they live in the host's sink, and a resumed
+    /// expert starts with an empty one.
     ///
     /// # Errors
     ///
