@@ -141,29 +141,43 @@ pub const CORRELATE_RULES: &str = r#"
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::{Engine, Matcher};
+    use crate::rulebase::RuleBase;
     use crate::value::Value;
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Mutex, OnceLock};
 
     type WarningSink = Arc<Mutex<Vec<(i64, String)>>>;
 
-    /// An engine with the correlator policy and test doubles of the
-    /// host's `warn` / `severity-text` natives.
+    /// The correlator policy, compiled once for every test here, with a
+    /// test double of the host's `severity-text` native.
+    fn correlator_rules() -> Arc<RuleBase> {
+        static RULES: OnceLock<Arc<RuleBase>> = OnceLock::new();
+        RULES
+            .get_or_init(|| {
+                let mut rules = RuleBase::new();
+                rules.register_fn("severity-text", |args| {
+                    Ok(Value::str(format!("Warning [{}]", args[0].as_int()?)))
+                });
+                rules.load_str(DIGEST_TEMPLATES).expect("templates parse");
+                rules.load_str(CORRELATE_RULES).expect("rules parse");
+                Arc::new(rules)
+            })
+            .clone()
+    }
+
+    /// An engine instantiated from the compiled correlator policy, with
+    /// a test double of the host's `warn` native bound to it alone.
     fn correlator() -> (Engine, WarningSink) {
-        let mut engine = Engine::new();
+        let mut engine =
+            Engine::instantiate(correlator_rules(), Matcher::default()).expect("instantiate");
         let warnings: WarningSink = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&warnings);
-        engine.register_fn("warn", move |args| {
+        engine.bind_fn("warn", move |args| {
             let level = args[0].as_int()?;
             let rule = args[1].to_display_string();
             sink.lock().unwrap().push((level, rule));
             Ok(Value::truth())
         });
-        engine.register_fn("severity-text", |args| {
-            Ok(Value::str(format!("Warning [{}]", args[0].as_int()?)))
-        });
-        engine.load_str(DIGEST_TEMPLATES).expect("templates parse");
-        engine.load_str(CORRELATE_RULES).expect("rules parse");
         engine.reset().expect("reset");
         (engine, warnings)
     }
@@ -242,5 +256,8 @@ mod tests {
             .unwrap();
         engine.run(None).unwrap();
         assert!(warnings.lock().unwrap().is_empty());
+        // The override copied the engine's rule base; the shared one
+        // keeps the default threshold.
+        assert_eq!(correlator_rules().get_global("MIN_C2_LABELS"), Some(&Value::Int(3)));
     }
 }

@@ -14,6 +14,12 @@
 //! Conflict resolution follows CLIPS's depth strategy: highest salience
 //! first, most recent activation first among equals. Refraction prevents
 //! an activation (rule + fact tuple) from firing twice.
+//!
+//! An engine is an instance of a shared, compiled [`RuleBase`]: it owns
+//! only its mutable state (working memory, match tokens, agenda,
+//! refraction, firings) and the natives bound to it alone
+//! ([`Engine::bind_fn`]). Construct registration on an engine is
+//! copy-on-write against that base.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,6 +34,7 @@ use crate::pattern::CondElem;
 use crate::prefilter::AlphaPrefilter;
 use crate::rete::{MatchStats, ReteNetwork, UpdateOutcome};
 use crate::rule::Rule;
+use crate::rulebase::RuleBase;
 use crate::snapshot::{EngineSnapshot, FactRecord};
 use crate::template::Template;
 use crate::value::Value;
@@ -106,21 +113,33 @@ struct Activation {
 /// Read-only evaluation host used while matching patterns. Mutating
 /// actions are rejected: patterns must be pure.
 struct MatchHost<'a> {
-    globals: &'a FxHashMap<Arc<str>, Value>,
-    natives: &'a FxHashMap<Arc<str>, NativeFn>,
-    userfns: &'a FxHashMap<Arc<str>, Arc<UserFn>>,
+    rules: &'a RuleBase,
+    bound: &'a FxHashMap<Arc<str>, NativeFn>,
+}
+
+/// A native by name: the engine's own bindings shadow the rule base's.
+fn native<'a>(
+    bound: &'a FxHashMap<Arc<str>, NativeFn>,
+    rules: &'a RuleBase,
+    name: &str,
+) -> Option<&'a NativeFn> {
+    bound.get(name).or_else(|| rules.natives.get(name))
 }
 
 impl Host for MatchHost<'_> {
     fn global(&self, name: &str) -> Result<Value> {
-        self.globals.get(name).cloned().ok_or_else(|| EngineError::UnknownGlobal(name.to_string()))
+        self.rules
+            .globals
+            .get(name)
+            .cloned()
+            .ok_or_else(|| EngineError::UnknownGlobal(name.to_string()))
     }
 
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value> {
         match builtins::call(name, args) {
-            Err(EngineError::UnknownFunction(_)) => match self.natives.get(name) {
+            Err(EngineError::UnknownFunction(_)) => match native(self.bound, self.rules, name) {
                 Some(f) => f(args),
-                None => match self.userfns.get(name).cloned() {
+                None => match self.rules.userfns.get(name).cloned() {
                     Some(f) => {
                         let mut bindings = bind_userfn_args(&f, args)?;
                         let mut last = Value::falsity();
@@ -169,17 +188,16 @@ impl Host for MatchHost<'_> {
 /// # }
 /// ```
 pub struct Engine {
-    templates: FxHashMap<Arc<str>, Arc<Template>>,
-    rules: Vec<Arc<Rule>>,
-    rule_names: FxHashMap<Arc<str>, usize>,
+    /// The compiled policy, shared with every sibling instance until a
+    /// construct registration on this engine copies it.
+    rules: Arc<RuleBase>,
+    /// Natives bound to this instance only ([`Engine::bind_fn`]),
+    /// consulted before the rule base's.
+    bound: FxHashMap<Arc<str>, NativeFn>,
     wm: WorkingMemory,
-    globals: FxHashMap<Arc<str>, Value>,
-    natives: FxHashMap<Arc<str>, NativeFn>,
-    userfns: FxHashMap<Arc<str>, Arc<UserFn>>,
     strategy: Strategy,
     watch: bool,
     trace: Vec<String>,
-    deffacts: Vec<Fact>,
     /// Salience-bucketed, seq-ordered agenda: keys are `(salience, seq)`,
     /// so the Depth pick is the last entry and the Breadth pick is the
     /// first entry within the top salience — no linear scans.
@@ -202,9 +220,6 @@ pub struct Engine {
     /// the firing records; kept out of [`FiringRecord`] so the naive
     /// and Rete matchers stay byte-comparable.
     support_log: FxHashMap<usize, Vec<FactSupportRecord>>,
-    /// Bumped on every successful [`Engine::add_rule`], so callers
-    /// caching an [`AlphaPrefilter`] snapshot know when to rebuild.
-    rules_revision: u64,
 }
 
 impl Default for Engine {
@@ -223,18 +238,30 @@ impl Engine {
     /// Creates an empty engine using the given match algorithm. The
     /// matcher is fixed for the engine's lifetime.
     pub fn with_matcher(matcher: Matcher) -> Engine {
+        Engine::instantiate(Arc::new(RuleBase::new()), matcher)
+            .expect("an empty rule base has no productions to join")
+    }
+
+    /// Instantiates an engine from a compiled rule base: fresh, empty
+    /// mutable state (no facts until [`Engine::reset`]) over the shared
+    /// `rules`, using the given match algorithm. Every production is
+    /// joined against the empty working memory in rule order, exactly as
+    /// loading the same source into a new engine would, so the two are
+    /// indistinguishable down to their match counters.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pattern-evaluation errors raised while joining the
+    /// productions (only `test` CEs behind a leading `not` evaluate
+    /// against an empty working memory).
+    pub fn instantiate(rules: Arc<RuleBase>, matcher: Matcher) -> Result<Engine> {
         let mut engine = Engine {
-            templates: FxHashMap::default(),
-            rules: Vec::new(),
-            rule_names: FxHashMap::default(),
+            rules,
+            bound: FxHashMap::default(),
             wm: WorkingMemory::new(),
-            globals: FxHashMap::default(),
-            natives: FxHashMap::default(),
-            userfns: FxHashMap::default(),
             strategy: Strategy::Depth,
             watch: false,
             trace: Vec::new(),
-            deffacts: Vec::new(),
             agenda: BTreeMap::new(),
             agenda_keys: FxHashMap::default(),
             refraction: FxHashSet::default(),
@@ -247,17 +274,26 @@ impl Engine {
             rete: ReteNetwork::new(),
             capture_support: false,
             support_log: FxHashMap::default(),
-            rules_revision: 0,
         };
         // The engine's match paths only ever probe the slot-value index
         // on slots named by compiled rule nodes (registered per rule in
-        // `add_rule`); restricting the index to those slots keeps
+        // `attach_rule`); restricting the index to those slots keeps
         // assert/retract from maintaining buckets nothing reads.
         engine.wm.restrict_index();
-        engine
-            .add_template(Template::new("initial-fact", []))
-            .expect("initial-fact is the first template");
-        engine
+        engine.attach_rules_from(0)?;
+        Ok(engine)
+    }
+
+    /// The compiled rule base this engine runs. Hand it to
+    /// [`Engine::instantiate`] for more engines over the same policy.
+    pub fn rule_base(&self) -> &Arc<RuleBase> {
+        &self.rules
+    }
+
+    /// The rule base for a construct registration: copied out of the
+    /// shared `Arc` first when anyone else holds it (copy-on-write).
+    pub(crate) fn rules_mut(&mut self) -> &mut RuleBase {
+        Arc::make_mut(&mut self.rules)
     }
 
     /// The match algorithm this engine was constructed with.
@@ -274,17 +310,20 @@ impl Engine {
     /// Monotonic counter bumped on every rule addition. Callers caching
     /// an [`AlphaPrefilter`] compare revisions to know when to rebuild.
     pub fn rules_revision(&self) -> u64 {
-        self.rules_revision
+        self.rules.rules_revision()
     }
 
     /// Builds an [`AlphaPrefilter`] snapshot of the current rule base's
     /// constant discriminators (see that type for the soundness
     /// contract). Stale once [`Engine::rules_revision`] moves.
     pub fn alpha_prefilter(&self) -> AlphaPrefilter {
-        AlphaPrefilter::build(&self.rules, &self.templates)
+        self.rules.alpha_prefilter()
     }
 
     // ----- construct registration -------------------------------------
+    //
+    // Each of these changes the rule base, copy-on-write (see
+    // [`RuleBase`]); rules are then attached to this engine's state.
 
     /// Registers a template.
     ///
@@ -292,88 +331,57 @@ impl Engine {
     ///
     /// Returns [`EngineError::Redefinition`] when the name is taken.
     pub fn add_template(&mut self, template: Template) -> Result<Arc<Template>> {
-        let name: Arc<str> = Arc::from(template.name());
-        if self.templates.contains_key(&name) {
-            return Err(EngineError::Redefinition(name.to_string()));
-        }
-        let arc = Arc::new(template);
-        self.templates.insert(name, arc.clone());
-        Ok(arc)
+        self.rules_mut().add_template(template)
     }
 
     /// Looks up a registered template.
     pub fn template(&self, name: &str) -> Option<&Arc<Template>> {
-        self.templates.get(name)
+        self.rules.template(name)
     }
 
-    /// Registers a rule, validating its patterns against known templates.
+    /// Registers a rule, validating its patterns against known
+    /// templates, and joins it against the current working memory.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Redefinition`], [`EngineError::UnknownTemplate`]
     /// or [`EngineError::UnknownSlot`] on malformed rules.
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
-        let name: Arc<str> = Arc::from(rule.name());
-        if self.rule_names.contains_key(&name) {
-            return Err(EngineError::Redefinition(name.to_string()));
+        let idx = self.rules_mut().add_rule(rule)?;
+        self.attach_rules_from(idx)
+    }
+
+    /// Attaches every rule of the rule base from index `first` on to
+    /// this engine's state, in rule order.
+    pub(crate) fn attach_rules_from(&mut self, first: usize) -> Result<()> {
+        for idx in first..self.rules.rule_count() {
+            self.attach_rule(idx)?;
         }
-        for ce in rule.lhs() {
-            if let CondElem::Pattern(p) | CondElem::Not(p) = ce {
-                let template = self
-                    .templates
-                    .get(p.template.as_ref())
-                    .ok_or_else(|| EngineError::UnknownTemplate(p.template.to_string()))?;
-                for (slot, _) in &p.slots {
-                    template.slot(slot)?;
-                }
+        Ok(())
+    }
+
+    /// Brings rule `idx` of the rule base into this engine: registers
+    /// the slots its compiled nodes probe on the working-memory index
+    /// (the beta join key and the first constant of each condition
+    /// element — the two lookups `candidates` makes), then joins it
+    /// against the current working memory.
+    fn attach_rule(&mut self, idx: usize) -> Result<()> {
+        let production = &self.rules.network.prods[idx];
+        for (ce, node) in production.rule.lhs().iter().zip(&production.nodes) {
+            let (CondElem::Pattern(p) | CondElem::Not(p)) = ce else { continue };
+            if let Some((slot, _)) = &node.join {
+                self.wm.index_slot(&p.template, *slot);
             }
-        }
-        // Rules without a positive pattern are seeded by `initial-fact`.
-        let rule = if rule.needs_initial_fact() {
-            let mut lhs = vec![CondElem::Pattern(crate::pattern::PatternCE::new("initial-fact"))];
-            lhs.extend(rule.lhs().iter().cloned());
-            let rebuilt = Rule::new(rule.name(), rule.salience(), lhs, rule.rhs().to_vec());
-            match rule.doc() {
-                Some(doc) => rebuilt.with_doc(doc),
-                None => rebuilt,
-            }
-        } else {
-            rule
-        };
-        let idx = self.rules.len();
-        self.rules.push(Arc::new(rule));
-        self.rule_names.insert(name, idx);
-        self.rules_revision += 1;
-        // Register the slots this rule's compiled nodes will probe on the
-        // working-memory index: the beta join key and the first constant
-        // of each condition element (the two lookups `candidates` makes).
-        {
-            let nodes = crate::rete::compile::compile(&self.rules[idx], &self.templates);
-            for (ce, node) in self.rules[idx].lhs().iter().zip(&nodes) {
-                let (CondElem::Pattern(p) | CondElem::Not(p)) = ce else { continue };
-                if let Some((slot, _)) = &node.join {
-                    self.wm.index_slot(&p.template, *slot);
-                }
-                if let Some((slot, _)) = node.consts.first() {
-                    self.wm.index_slot(&p.template, *slot);
-                }
+            if let Some((slot, _)) = node.consts.first() {
+                self.wm.index_slot(&p.template, *slot);
             }
         }
         match self.matcher {
             Matcher::Naive => self.recompute_rule(idx)?,
             Matcher::Rete => {
                 let emissions = {
-                    let mut host = MatchHost {
-                        globals: &self.globals,
-                        natives: &self.natives,
-                        userfns: &self.userfns,
-                    };
-                    self.rete.add_production(
-                        self.rules[idx].clone(),
-                        &self.templates,
-                        &self.wm,
-                        &mut host,
-                    )?
+                    let mut host = MatchHost { rules: &self.rules, bound: &self.bound };
+                    self.rete.attach_production(&self.rules.network, idx, &self.wm, &mut host)?
                 };
                 for em in emissions {
                     self.push_activation(em.rule, em.tuple, em.bindings);
@@ -385,7 +393,7 @@ impl Engine {
 
     /// Names of all registered rules, in definition order.
     pub fn rule_names(&self) -> impl Iterator<Item = &str> {
-        self.rules.iter().map(|r| r.name())
+        self.rules.rule_names()
     }
 
     /// Registers a user-defined function (`deffunction`).
@@ -394,11 +402,7 @@ impl Engine {
     ///
     /// Returns [`EngineError::Redefinition`] when the name is taken.
     pub fn add_function(&mut self, f: UserFn) -> Result<()> {
-        if self.userfns.contains_key(&f.name) {
-            return Err(EngineError::Redefinition(f.name.to_string()));
-        }
-        self.userfns.insert(f.name.clone(), Arc::new(f));
-        Ok(())
+        self.rules_mut().add_function(f)
     }
 
     /// Sets the conflict-resolution strategy (CLIPS `set-strategy`).
@@ -418,28 +422,41 @@ impl Engine {
         std::mem::take(&mut self.trace)
     }
 
-    /// Registers a native function callable from rules.
+    /// Registers a native function callable from rules, in the rule
+    /// base (so engines instantiated from [`Engine::rule_base`] see it).
     pub fn register_fn(
         &mut self,
         name: impl AsRef<str>,
         f: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
     ) {
-        self.natives.insert(Arc::from(name.as_ref()), Arc::new(f));
+        self.rules_mut().register_fn(name, f);
+    }
+
+    /// Binds a native function to this engine alone: it shadows a rule
+    /// base native of the same name and leaves the (possibly shared)
+    /// rule base untouched — the way to give each instance its own
+    /// side-effecting callback, such as a per-session warning sink.
+    pub fn bind_fn(
+        &mut self,
+        name: impl AsRef<str>,
+        f: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
+    ) {
+        self.bound.insert(Arc::from(name.as_ref()), Arc::new(f));
     }
 
     /// Defines or updates a global (`?*name*`).
     pub fn set_global(&mut self, name: impl AsRef<str>, value: impl Into<Value>) {
-        self.globals.insert(Arc::from(name.as_ref()), value.into());
+        self.rules_mut().set_global(name, value);
     }
 
     /// Reads a global.
     pub fn get_global(&self, name: &str) -> Option<&Value> {
-        self.globals.get(name)
+        self.rules.get_global(name)
     }
 
     /// Adds a fact asserted automatically by [`Engine::reset`].
     pub fn add_deffact(&mut self, fact: Fact) {
-        self.deffacts.push(fact);
+        self.rules_mut().add_deffact(fact);
     }
 
     // ----- working memory ----------------------------------------------
@@ -450,11 +467,7 @@ impl Engine {
     ///
     /// Returns [`EngineError::UnknownTemplate`] for unknown names.
     pub fn fact(&self, template: &str) -> Result<FactBuilder> {
-        let t = self
-            .templates
-            .get(template)
-            .ok_or_else(|| EngineError::UnknownTemplate(template.to_string()))?;
-        Ok(FactBuilder::new(t.clone()))
+        self.rules.fact(template)
     }
 
     /// Asserts a fact; returns its id, or `None` for suppressed duplicates.
@@ -523,16 +536,13 @@ impl Engine {
         self.firings.clear();
         self.support_log.clear();
         if self.matcher == Matcher::Rete {
-            let mut host = MatchHost {
-                globals: &self.globals,
-                natives: &self.natives,
-                userfns: &self.userfns,
-            };
-            self.rete.reset(&self.wm, &mut host)?;
+            let mut host = MatchHost { rules: &self.rules, bound: &self.bound };
+            self.rete.reset(&self.rules.network, &self.wm, &mut host)?;
         }
-        self.assert_fact(Fact::with_defaults(self.templates["initial-fact"].clone()))?;
-        for fact in self.deffacts.clone() {
-            self.assert_fact(fact)?;
+        let rules = Arc::clone(&self.rules);
+        self.assert_fact(Fact::with_defaults(rules.templates["initial-fact"].clone()))?;
+        for fact in &rules.deffacts {
+            self.assert_fact(fact.clone())?;
         }
         Ok(())
     }
@@ -545,7 +555,7 @@ impl Engine {
             return;
         }
         self.activation_seq += 1;
-        let salience = self.rules[rule].salience();
+        let salience = self.rules.rules[rule].salience();
         let order = (salience, self.activation_seq);
         self.agenda_keys.insert(key, order);
         self.agenda.insert(
@@ -578,12 +588,8 @@ impl Engine {
     fn recompute_rule(&mut self, rule_idx: usize) -> Result<()> {
         self.remove_rule_activations(rule_idx);
         let matches = {
-            let mut host = MatchHost {
-                globals: &self.globals,
-                natives: &self.natives,
-                userfns: &self.userfns,
-            };
-            compute_matches(&self.wm, &self.rules[rule_idx], None, &mut host)?
+            let mut host = MatchHost { rules: &self.rules, bound: &self.bound };
+            compute_matches(&self.wm, &self.rules.rules[rule_idx], None, &mut host)?
         };
         for (facts, bindings) in matches {
             self.push_activation(rule_idx, facts, bindings);
@@ -612,12 +618,8 @@ impl Engine {
     fn on_assert(&mut self, id: FactId) -> Result<()> {
         if self.matcher == Matcher::Rete {
             let outcome = {
-                let mut host = MatchHost {
-                    globals: &self.globals,
-                    natives: &self.natives,
-                    userfns: &self.userfns,
-                };
-                self.rete.on_assert(id, &self.wm, &mut host)?
+                let mut host = MatchHost { rules: &self.rules, bound: &self.bound };
+                self.rete.on_assert(&self.rules.network, id, &self.wm, &mut host)?
             };
             self.apply_outcome(outcome);
             return Ok(());
@@ -627,12 +629,8 @@ impl Engine {
         let mut seeded: Vec<(usize, Vec<Match>)> = Vec::new();
         let mut recompute: Vec<usize> = Vec::new();
         {
-            let mut host = MatchHost {
-                globals: &self.globals,
-                natives: &self.natives,
-                userfns: &self.userfns,
-            };
-            for (ri, rule) in self.rules.iter().enumerate() {
+            let mut host = MatchHost { rules: &self.rules, bound: &self.bound };
+            for (ri, rule) in self.rules.rules.iter().enumerate() {
                 let negated_on_template = rule
                     .lhs()
                     .iter()
@@ -673,12 +671,8 @@ impl Engine {
     fn on_retract(&mut self, id: FactId, template: &str) -> Result<()> {
         if self.matcher == Matcher::Rete {
             let outcome = {
-                let mut host = MatchHost {
-                    globals: &self.globals,
-                    natives: &self.natives,
-                    userfns: &self.userfns,
-                };
-                self.rete.on_retract(id, template, &self.wm, &mut host)?
+                let mut host = MatchHost { rules: &self.rules, bound: &self.bound };
+                self.rete.on_retract(&self.rules.network, id, template, &self.wm, &mut host)?
             };
             self.apply_outcome(outcome);
             return Ok(());
@@ -693,6 +687,7 @@ impl Engine {
             self.remove_activation(&key);
         }
         let recompute: Vec<usize> = self
+            .rules
             .rules
             .iter()
             .enumerate()
@@ -731,7 +726,10 @@ impl Engine {
         entries
             .into_iter()
             .map(|a| {
-                (self.rules[a.rule].name().to_string(), a.facts.iter().flatten().copied().collect())
+                (
+                    self.rules.rules[a.rule].name().to_string(),
+                    a.facts.iter().flatten().copied().collect(),
+                )
             })
             .collect()
     }
@@ -774,7 +772,7 @@ impl Engine {
 
     fn fire(&mut self, act: Activation) -> Result<()> {
         self.refraction.insert((act.rule, act.facts.clone()));
-        let rule = self.rules[act.rule].clone();
+        let rule = self.rules.rules[act.rule].clone();
         if self.watch {
             let ids: Vec<String> = act.facts.iter().flatten().map(|id| id.to_string()).collect();
             self.trace.push(format!(
@@ -799,7 +797,7 @@ impl Engine {
                         .rete
                         .rules_using(*id)
                         .into_iter()
-                        .map(|prod| self.rules[prod].name_arc().clone())
+                        .map(|prod| self.rules.rules[prod].name_arc().clone())
                         .filter(|name| name.as_ref() != rule.name())
                         .collect(),
                 })
@@ -857,7 +855,7 @@ impl Engine {
     /// consume fact `id`, straight from the match network's fact -> token
     /// back-references. Empty under the naive matcher.
     pub fn rules_using_fact(&self, id: FactId) -> Vec<&str> {
-        self.rete.rules_using(id).into_iter().map(|prod| self.rules[prod].name()).collect()
+        self.rete.rules_using(id).into_iter().map(|prod| self.rules.rules[prod].name()).collect()
     }
 
     /// Total rules fired over the engine's lifetime.
@@ -904,7 +902,7 @@ impl Engine {
             .filter(|(_, tuple)| tuple.iter().flatten().all(|id| self.wm.get(*id).is_some()))
             .map(|(rule, tuple)| {
                 (
-                    self.rules[*rule].name_arc().clone(),
+                    self.rules.rules[*rule].name_arc().clone(),
                     tuple.iter().map(|slot| slot.map(FactId::raw)).collect(),
                 )
             })
@@ -940,7 +938,7 @@ impl Engine {
     /// leave the engine in need of another restore (or [`Engine::reset`]).
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<()> {
         for (rule, _) in &snap.refraction {
-            if !self.rule_names.contains_key(rule) {
+            if !self.rules.rule_names.contains_key(rule) {
                 return Err(EngineError::Type {
                     expected: "rule known to this policy",
                     found: rule.to_string(),
@@ -949,7 +947,7 @@ impl Engine {
         }
         let mut prev_id = 0u64;
         for rec in &snap.facts {
-            if !self.templates.contains_key(&rec.template) {
+            if !self.rules.templates.contains_key(&rec.template) {
                 return Err(EngineError::UnknownTemplate(rec.template.to_string()));
             }
             if rec.id <= prev_id {
@@ -970,18 +968,14 @@ impl Engine {
         self.support_log.clear();
         self.trace.clear();
         if self.matcher == Matcher::Rete {
-            let mut host = MatchHost {
-                globals: &self.globals,
-                natives: &self.natives,
-                userfns: &self.userfns,
-            };
-            self.rete.reset(&self.wm, &mut host)?;
+            let mut host = MatchHost { rules: &self.rules, bound: &self.bound };
+            self.rete.reset(&self.rules.network, &self.wm, &mut host)?;
         }
         // Refraction before facts: each re-assert below re-derives the
         // matches the fact completes, and the already-fired ones must be
         // suppressed as they land.
         for (rule, tuple) in &snap.refraction {
-            let idx = self.rule_names[rule];
+            let idx = self.rules.rule_names[rule];
             self.refraction.insert((idx, tuple.iter().map(|s| s.map(FactId::from_raw)).collect()));
         }
         // Watch tracing off for the replay: these asserts are
@@ -1004,7 +998,7 @@ impl Engine {
 
     fn restore_facts(&mut self, snap: &EngineSnapshot) -> Result<()> {
         for rec in &snap.facts {
-            let template = self.templates[&rec.template].clone();
+            let template = self.rules.templates[&rec.template].clone();
             let fact = Fact::from_parts(template, rec.slots.clone())?;
             self.wm.set_next_id(rec.id - 1);
             if self.assert_fact(fact)? != Some(FactId::from_raw(rec.id)) {
@@ -1020,9 +1014,9 @@ impl Engine {
 
     /// Approximate resident bytes attributable to this engine's event
     /// stream: working memory, match-network tokens and memories,
-    /// refraction keys, transcript, trace, and firing records. The rule
-    /// base and templates are excluded — they are fixed per policy and
-    /// shared across sessions, not a per-session growth surface.
+    /// refraction keys, transcript, trace, and firing records. The
+    /// [`RuleBase`] is excluded — it is fixed per policy and shared
+    /// across sessions, not a per-session growth surface.
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = self.wm.approx_bytes() + self.rete.approx_bytes();
         bytes += self.refraction.iter().map(|(_, tuple)| 32 + tuple.len() * 16).sum::<usize>();
@@ -1046,14 +1040,18 @@ impl Engine {
 
 impl Host for Engine {
     fn global(&self, name: &str) -> Result<Value> {
-        self.globals.get(name).cloned().ok_or_else(|| EngineError::UnknownGlobal(name.to_string()))
+        self.rules
+            .globals
+            .get(name)
+            .cloned()
+            .ok_or_else(|| EngineError::UnknownGlobal(name.to_string()))
     }
 
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value> {
         match builtins::call(name, args) {
-            Err(EngineError::UnknownFunction(_)) => match self.natives.get(name).cloned() {
+            Err(EngineError::UnknownFunction(_)) => match native(&self.bound, &self.rules, name) {
                 Some(f) => f(args),
-                None => match self.userfns.get(name).cloned() {
+                None => match self.rules.userfns.get(name).cloned() {
                     Some(f) => {
                         let mut bindings = bind_userfn_args(&f, args)?;
                         let mut last = Value::falsity();
@@ -1071,6 +1069,7 @@ impl Host for Engine {
 
     fn assert(&mut self, template: &str, slots: &[(Arc<str>, Value)]) -> Result<Value> {
         let t = self
+            .rules
             .templates
             .get(template)
             .ok_or_else(|| EngineError::UnknownTemplate(template.to_string()))?
@@ -1595,6 +1594,71 @@ mod tests {
         assert!(e.snapshot().is_err(), "pending activation must block snapshot");
         e.run(None).unwrap();
         assert!(e.snapshot().is_ok());
+    }
+
+    #[test]
+    fn instantiated_engine_is_indistinguishable_from_a_loaded_one() {
+        let stream = [("open", 1), ("bad", 2), ("close", 3), ("open", 4), ("close", 5)];
+        // `snapshot_policy` attaches its rules one by one as they load;
+        // the instances get the whole compiled rule base at once, one on
+        // the same matcher and one on the other.
+        let mut loaded = snapshot_policy();
+        let rules = loaded.rule_base().clone();
+        let other = match loaded.matcher() {
+            Matcher::Rete => Matcher::Naive,
+            Matcher::Naive => Matcher::Rete,
+        };
+        let mut same = Engine::instantiate(rules.clone(), loaded.matcher()).unwrap();
+        let mut other = Engine::instantiate(rules, other).unwrap();
+        for e in [&mut loaded, &mut same, &mut other] {
+            e.reset().unwrap();
+            for (kind, n) in &stream {
+                e.assert_fact(event(e, kind, *n)).unwrap();
+                e.run(None).unwrap();
+            }
+        }
+        let expected = loaded.snapshot().unwrap();
+        assert_eq!(same.snapshot().unwrap().encode(), expected.encode());
+        assert_eq!(same.match_stats(), loaded.match_stats());
+        // Match counters are the one thing the matchers do not share.
+        let other_snap = other.snapshot().unwrap();
+        assert_eq!(other_snap.facts, expected.facts);
+        assert_eq!(other_snap.refraction, expected.refraction);
+        for e in [&same, &other] {
+            assert_eq!(e.firings(), loaded.firings());
+        }
+        let output = loaded.take_output();
+        assert_eq!(same.take_output(), output);
+        assert_eq!(other.take_output(), output);
+    }
+
+    #[test]
+    fn rule_base_changes_are_copy_on_write() {
+        let shared = snapshot_policy().rule_base().clone();
+        let mut a = Engine::instantiate(shared.clone(), Matcher::default()).unwrap();
+        let mut b = Engine::instantiate(shared.clone(), Matcher::default()).unwrap();
+        assert!(Arc::ptr_eq(a.rule_base(), b.rule_base()), "siblings share one base");
+        a.add_rule(
+            RuleBuilder::new("extra")
+                .pattern(PatternCE::new("event"))
+                .action(Expr::Printout(vec![Expr::lit("E")]))
+                .build(),
+        )
+        .unwrap();
+        a.set_global("G", 1);
+        a.bind_fn("only-a", |_| Ok(Value::truth()));
+        assert!(!Arc::ptr_eq(a.rule_base(), &shared), "the change copied a's base");
+        assert!(Arc::ptr_eq(b.rule_base(), &shared), "b still runs the shared base");
+        assert_eq!(a.rule_names().count(), shared.rule_count() + 1);
+        assert_eq!(b.rule_names().count(), shared.rule_count());
+        assert!(shared.get_global("G").is_none() && !shared.natives.contains_key("only-a"));
+        for e in [&mut a, &mut b] {
+            e.reset().unwrap();
+            e.assert_fact(event(e, "open", 1)).unwrap();
+            e.run(None).unwrap();
+        }
+        assert_eq!(a.take_output(), "Ecalm");
+        assert_eq!(b.take_output(), "calm");
     }
 
     #[test]

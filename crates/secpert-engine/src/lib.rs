@@ -64,6 +64,7 @@ mod pattern;
 mod prefilter;
 mod rete;
 mod rule;
+mod rulebase;
 pub mod snapshot;
 mod template;
 mod value;
@@ -78,6 +79,7 @@ pub use pattern::{Atom, CondElem, FieldConstraint, PatternCE, SlotPattern, Term}
 pub use prefilter::AlphaPrefilter;
 pub use rete::MatchStats;
 pub use rule::{Rule, RuleBuilder};
+pub use rulebase::RuleBase;
 pub use snapshot::{EngineSnapshot, FactRecord, SnapshotError};
 pub use template::{SlotDef, SlotKind, Template};
 pub use value::Value;

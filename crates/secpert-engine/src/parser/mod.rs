@@ -13,12 +13,14 @@ pub use reader::{parse_fact_form, parse_program, Construct, ParsedFact};
 
 use crate::engine::Engine;
 use crate::error::Result;
-use crate::fact::{Fact, FactId};
-use crate::value::Value;
+use crate::fact::FactId;
 
 impl Engine {
     /// Loads CLIPS-style source: `deftemplate`, `defrule`, `defglobal`
-    /// and `deffacts` constructs, applied in order.
+    /// and `deffacts` constructs, applied in order to this engine's
+    /// rule base (copy-on-write: a shared base is cloned first, see
+    /// [`RuleBase`](crate::RuleBase)). Every rule added is then joined
+    /// against the current working memory.
     ///
     /// # Errors
     ///
@@ -35,24 +37,12 @@ impl Engine {
     /// # }
     /// ```
     pub fn load_str(&mut self, src: &str) -> Result<()> {
-        let constructs = parse_program(src, &|name| self.template(name).cloned())?;
-        for construct in constructs {
-            match construct {
-                Construct::Template(t) => {
-                    self.add_template(t)?;
-                }
-                Construct::Rule(r) => self.add_rule(r)?,
-                Construct::Global(name, value) => self.set_global(name, value),
-                Construct::Function(f) => self.add_function(f)?,
-                Construct::Deffacts(facts) => {
-                    for parsed in facts {
-                        let fact = self.build_parsed_fact(&parsed)?;
-                        self.add_deffact(fact);
-                    }
-                }
-            }
-        }
-        Ok(())
+        let attached = self.rule_base().rule_count();
+        let loaded = self.rules_mut().load_str(src);
+        // Rules added before a failing construct stay, so they attach
+        // either way.
+        self.attach_rules_from(attached)?;
+        loaded
     }
 
     /// Parses and asserts a single fact form like
@@ -65,19 +55,7 @@ impl Engine {
     /// Returns parse errors and unknown template/slot errors.
     pub fn assert_str(&mut self, src: &str) -> Result<Option<FactId>> {
         let parsed = parse_fact_form(src)?;
-        let fact = self.build_parsed_fact(&parsed)?;
+        let fact = self.rule_base().build_parsed_fact(&parsed)?;
         self.assert_fact(fact)
-    }
-
-    fn build_parsed_fact(&self, parsed: &ParsedFact) -> Result<Fact> {
-        let mut builder = self.fact(&parsed.template)?;
-        for (slot, values) in &parsed.slots {
-            let value = match values.as_slice() {
-                [single] => single.clone(),
-                many => Value::multi(many.iter().cloned()),
-            };
-            builder = builder.slot(slot, value);
-        }
-        builder.build()
     }
 }

@@ -31,10 +31,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::fact::Fact;
-use crate::fxhash::FxHashMap;
 use crate::pattern::CondElem;
-use crate::rule::Rule;
-use crate::template::Template;
+use crate::rete::CompiledNetwork;
 use crate::value::Value;
 
 /// One condition element's constant discriminators over a template.
@@ -57,27 +55,22 @@ struct TemplateAlpha {
 }
 
 /// A snapshot of the rule base's alpha constants, built by
-/// [`Engine::alpha_prefilter`](crate::Engine::alpha_prefilter).
+/// [`RuleBase::alpha_prefilter`](crate::RuleBase::alpha_prefilter).
 ///
 /// The snapshot does not track later rule additions; rebuild it when
-/// [`Engine::rules_revision`](crate::Engine::rules_revision) moves.
+/// [`RuleBase::rules_revision`](crate::RuleBase::rules_revision) moves.
 #[derive(Clone, Debug, Default)]
 pub struct AlphaPrefilter {
     templates: HashMap<Arc<str>, TemplateAlpha>,
 }
 
 impl AlphaPrefilter {
-    /// Builds the filter from a rule base. `consts_of` must yield, for
-    /// each rule, the compiled per-CE constant sets in LHS order (the
-    /// engine passes the output of its rule compiler).
-    pub(crate) fn build<'a>(
-        rules: impl IntoIterator<Item = &'a Arc<Rule>>,
-        templates: &FxHashMap<Arc<str>, Arc<Template>>,
-    ) -> AlphaPrefilter {
+    /// Builds the filter from a rule base's compiled productions: the
+    /// per-CE constant sets the Rete alpha gate uses, in LHS order.
+    pub(crate) fn build(net: &CompiledNetwork) -> AlphaPrefilter {
         let mut filter = AlphaPrefilter::default();
-        for rule in rules {
-            let nodes = crate::rete::compile::compile(rule, templates);
-            for (ce, node) in rule.lhs().iter().zip(&nodes) {
+        for prod in &net.prods {
+            for (ce, node) in prod.rule.lhs().iter().zip(&prod.nodes) {
                 let (CondElem::Pattern(p) | CondElem::Not(p)) = ce else { continue };
                 let entry = filter.templates.entry(p.template.clone()).or_default();
                 if node.consts.is_empty() {

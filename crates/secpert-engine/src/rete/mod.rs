@@ -5,9 +5,12 @@
 //!
 //! - [`compile`] extracts constant discriminators and shared-variable
 //!   join keys from each condition element;
-//! - [`network`] owns the token tree, beta memories and the
-//!   assert/retract propagation, emitting agenda edits that reproduce
-//!   the naive matcher's activation order byte-for-byte;
+//! - [`network`] splits the network in two: the immutable
+//!   `CompiledNetwork` (productions and template dispatch tables, held
+//!   by the shared [`crate::RuleBase`]) and the per-engine
+//!   `ReteNetwork` (token tree, beta memories and the assert/retract
+//!   propagation), emitting agenda edits that reproduce the naive
+//!   matcher's activation order byte-for-byte;
 //! - [`stats`] counts the work performed, surfaced as [`MatchStats`]
 //!   through `Engine::match_stats` and aggregated fleet-wide.
 //!
@@ -18,5 +21,5 @@ pub(crate) mod compile;
 pub mod network;
 mod stats;
 
-pub(crate) use network::{ReteNetwork, UpdateOutcome};
+pub(crate) use network::{CompiledNetwork, ReteNetwork, UpdateOutcome};
 pub use stats::MatchStats;

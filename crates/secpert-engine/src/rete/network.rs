@@ -88,16 +88,57 @@ struct Memory {
     unindexed: FxHashSet<TokenId>,
 }
 
-struct Production {
-    rule: Arc<Rule>,
-    nodes: Vec<Node>,
-    root: TokenId,
-    /// `lhs.len() + 1` memories; the last holds complete matches.
-    memories: Vec<Memory>,
+/// One compiled rule: the immutable half of a production, shared by
+/// every engine instantiated from the same rule base.
+#[derive(Clone, Debug)]
+pub(crate) struct Production {
+    pub rule: Arc<Rule>,
+    pub nodes: Vec<Node>,
     /// Single positive pattern at position 0 followed only by `test`
     /// CEs: matches of such a rule touch exactly one fact, so the
     /// network skips the token tree entirely (see [`FastEntry`]).
-    fast: bool,
+    pub fast: bool,
+}
+
+/// The compiled, immutable half of the match network: every
+/// production's discrimination nodes plus the template dispatch tables.
+/// It lives in the shared [`crate::RuleBase`]; a [`ReteNetwork`] holds
+/// only the per-engine match state built against it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CompiledNetwork {
+    pub prods: Vec<Production>,
+    /// Template -> positive pattern sites `(prod, pos)`, ascending, so
+    /// an assert dispatches straight to the productions that can care
+    /// instead of scanning every rule's left-hand side.
+    pos_sites: HashMap<Arc<str>, Vec<(usize, usize)>>,
+    /// Template -> productions with a `not` CE on it, ascending.
+    neg_sites: HashMap<Arc<str>, Vec<usize>>,
+}
+
+impl CompiledNetwork {
+    /// Compiles `rule` into a new production and registers its pattern
+    /// sites. Returns the production index (the rule index).
+    pub(crate) fn add_production(
+        &mut self,
+        rule: Arc<Rule>,
+        templates: &FxHashMap<Arc<str>, Arc<Template>>,
+    ) -> usize {
+        let prod = self.prods.len();
+        let nodes = compile(&rule, templates);
+        for (pos, p) in rule.positive_positions() {
+            self.pos_sites.entry(p.template.clone()).or_default().push((prod, pos));
+        }
+        for (_, p) in rule.negative_positions() {
+            let sites = self.neg_sites.entry(p.template.clone()).or_default();
+            if sites.last() != Some(&prod) {
+                sites.push(prod);
+            }
+        }
+        let fast = matches!(rule.lhs().first(), Some(CondElem::Pattern(_)))
+            && rule.lhs()[1..].iter().all(|ce| matches!(ce, CondElem::Test(_)));
+        self.prods.push(Production { rule, nodes, fast });
+        prod
+    }
 }
 
 /// Fast-path match record: one production's live (partial or complete)
@@ -138,10 +179,14 @@ pub(crate) struct UpdateOutcome {
     pub resequences: Vec<(usize, Vec<Emission>)>,
 }
 
-/// The incremental Rete-style match network.
+/// The per-engine half of the incremental Rete-style match network:
+/// tokens, beta memories and the fact back-references, built against a
+/// [`CompiledNetwork`] that every method takes as `net`.
 #[derive(Default)]
 pub(crate) struct ReteNetwork {
-    prods: Vec<Production>,
+    /// Production -> its `lhs.len() + 1` beta memories; the last holds
+    /// complete matches.
+    memories: Vec<Vec<Memory>>,
     tokens: FxHashMap<TokenId, Token>,
     /// Fact -> tokens that consumed it at a positive position.
     fact_tokens: FxHashMap<FactId, Vec<TokenId>>,
@@ -157,12 +202,6 @@ pub(crate) struct ReteNetwork {
     scratch_neg: Vec<usize>,
     /// Fact -> tokens whose blocker set contains it.
     fact_blocks: FxHashMap<FactId, FxHashSet<TokenId>>,
-    /// Template -> positive pattern sites `(prod, pos)`, ascending, so
-    /// an assert dispatches straight to the productions that can care
-    /// instead of scanning every rule's left-hand side.
-    pos_sites: HashMap<Arc<str>, Vec<(usize, usize)>>,
-    /// Template -> productions with a `not` CE on it, ascending.
-    neg_sites: HashMap<Arc<str>, Vec<usize>>,
     next_token: u64,
     pub(crate) stats: MatchStats,
 }
@@ -190,8 +229,8 @@ impl ReteNetwork {
                     .map(|(name, value)| name.len() + crate::fact::value_approx_bytes(value))
                     .sum::<usize>();
         }
-        for prod in &self.prods {
-            for memory in &prod.memories {
+        for memories in &self.memories {
+            for memory in memories {
                 bytes += memory.by_tuple.len() * 48;
                 for (value, ids) in &memory.index {
                     bytes += crate::fact::value_approx_bytes(value) + 32 + ids.len() * 8;
@@ -225,48 +264,31 @@ impl ReteNetwork {
                 blockers: BTreeSet::new(),
             },
         );
-        self.prods[prod].memories[0].by_tuple.insert(Vec::new(), id);
+        self.memories[prod][0].by_tuple.insert(Vec::new(), id);
         id
     }
 
-    /// Compiles `rule` into the network and joins it against the current
-    /// working memory. Returns the rule's complete matches in full-tuple
-    /// order, ready to push (the naive `recompute_rule` order).
-    pub(crate) fn add_production(
+    /// Attaches production `prod` of `net` — the next one this network
+    /// has no memories for — and joins it against the current working
+    /// memory. Returns the rule's complete matches in full-tuple order,
+    /// ready to push (the naive `recompute_rule` order).
+    pub(crate) fn attach_production(
         &mut self,
-        rule: Arc<Rule>,
-        templates: &FxHashMap<Arc<str>, Arc<Template>>,
+        net: &CompiledNetwork,
+        prod: usize,
         wm: &WorkingMemory,
         host: &mut dyn Host,
     ) -> Result<Vec<Emission>> {
-        let prod = self.prods.len();
-        let nodes = compile(&rule, templates);
-        for (pos, p) in rule.positive_positions() {
-            self.pos_sites.entry(p.template.clone()).or_default().push((prod, pos));
-        }
-        for (_, p) in rule.negative_positions() {
-            let sites = self.neg_sites.entry(p.template.clone()).or_default();
-            if sites.last() != Some(&prod) {
-                sites.push(prod);
-            }
-        }
-        let levels = rule.lhs().len() + 1;
-        let fast = matches!(rule.lhs().first(), Some(CondElem::Pattern(_)))
-            && rule.lhs()[1..].iter().all(|ce| matches!(ce, CondElem::Test(_)));
-        self.prods.push(Production {
-            rule,
-            nodes,
-            root: TokenId(0),
-            memories: (0..levels).map(|_| Memory::default()).collect(),
-            fast,
-        });
-        if fast {
-            return self.fast_join_wm(prod, wm, host);
+        debug_assert_eq!(prod, self.memories.len(), "productions attach in order");
+        let production = &net.prods[prod];
+        let levels = production.rule.lhs().len() + 1;
+        self.memories.push((0..levels).map(|_| Memory::default()).collect());
+        if production.fast {
+            return self.fast_join_wm(net, prod, wm, host);
         }
         let root = self.make_root(prod);
-        self.prods[prod].root = root;
         let mut complete = Vec::new();
-        self.extend_token(prod, root, wm, host, &mut complete)?;
+        self.extend_token(net, prod, root, wm, host, &mut complete)?;
         Ok(self.emissions_sorted(prod, complete))
     }
 
@@ -275,13 +297,15 @@ impl ReteNetwork {
     /// token tree. Candidate narrowing and stats mirror `candidates`.
     fn fast_join_wm(
         &mut self,
+        net: &CompiledNetwork,
         pi: usize,
         wm: &WorkingMemory,
         host: &mut dyn Host,
     ) -> Result<Vec<Emission>> {
-        let rule = self.prods[pi].rule.clone();
-        let CondElem::Pattern(p) = &rule.lhs()[0] else { unreachable!("fast production") };
-        let ids: Vec<FactId> = if let Some((slot, value)) = self.prods[pi].nodes[0].consts.first() {
+        let CondElem::Pattern(p) = &net.prods[pi].rule.lhs()[0] else {
+            unreachable!("fast production")
+        };
+        let ids: Vec<FactId> = if let Some((slot, value)) = net.prods[pi].nodes[0].consts.first() {
             let (slot, value) = (*slot, value.clone());
             self.stats.index_lookups += 1;
             match wm.ids_with(&p.template, slot, &value) {
@@ -297,10 +321,10 @@ impl ReteNetwork {
         let mut complete = Vec::new();
         for cid in ids {
             let Some(fact) = wm.get(cid).cloned() else { continue };
-            if !self.const_check(pi, 0, &fact) {
+            if !self.const_check(net, pi, 0, &fact) {
                 continue;
             }
-            if let Some(emission) = self.fast_match(pi, cid, &fact, host)? {
+            if let Some(emission) = self.fast_match(net, pi, cid, &fact, host)? {
                 complete.push(emission);
             }
         }
@@ -315,12 +339,13 @@ impl ReteNetwork {
     /// the token path would have moved them.
     fn fast_match(
         &mut self,
+        net: &CompiledNetwork,
         pi: usize,
         id: FactId,
         fact: &Fact,
         host: &mut dyn Host,
     ) -> Result<Option<Emission>> {
-        let rule = self.prods[pi].rule.clone();
+        let rule = &net.prods[pi].rule;
         let CondElem::Pattern(p) = &rule.lhs()[0] else { unreachable!("fast production") };
         self.stats.join_attempts += 1;
         let mut bindings = std::mem::take(&mut self.fast_scratch);
@@ -329,7 +354,7 @@ impl ReteNetwork {
         // `const_check` has verified the constant slots; the residual
         // walk covers the rest (unless compilation could not resolve
         // the slots — then the full matcher reports the error).
-        let matched = match &self.prods[pi].nodes[0].residual {
+        let matched = match &net.prods[pi].nodes[0].residual {
             Some(residual) => match_resolved_slots(residual, fact, &mut bindings, host)?,
             None => p.matches(fact, &mut bindings, host)?,
         };
@@ -383,28 +408,32 @@ impl ReteNetwork {
     /// Drops every token (working memory was cleared) and re-roots each
     /// production, re-evaluating `not`/`test` prefixes against the now
     /// empty memory.
-    pub(crate) fn reset(&mut self, wm: &WorkingMemory, host: &mut dyn Host) -> Result<()> {
+    pub(crate) fn reset(
+        &mut self,
+        net: &CompiledNetwork,
+        wm: &WorkingMemory,
+        host: &mut dyn Host,
+    ) -> Result<()> {
         self.stats.tokens_removed += self.stats.tokens_live;
         self.stats.tokens_live = 0;
         self.tokens.clear();
         self.fact_tokens.clear();
         self.fact_fast.clear();
         self.fact_blocks.clear();
-        for prod in &mut self.prods {
-            for memory in &mut prod.memories {
+        for memories in &mut self.memories {
+            for memory in memories {
                 *memory = Memory::default();
             }
         }
-        for prod in 0..self.prods.len() {
-            if self.prods[prod].fast {
+        for prod in 0..self.memories.len() {
+            if net.prods[prod].fast {
                 // Fast productions keep no root token; an empty working
                 // memory means they simply have no matches to rebuild.
                 continue;
             }
             let root = self.make_root(prod);
-            self.prods[prod].root = root;
             let mut scratch = Vec::new();
-            self.extend_token(prod, root, wm, host, &mut scratch)?;
+            self.extend_token(net, prod, root, wm, host, &mut scratch)?;
             // Every rule has at least one positive pattern (the engine
             // injects `initial-fact` otherwise), so nothing completes
             // against an empty working memory.
@@ -434,6 +463,7 @@ impl ReteNetwork {
 
     pub(crate) fn on_assert(
         &mut self,
+        net: &CompiledNetwork,
         id: FactId,
         wm: &WorkingMemory,
         host: &mut dyn Host,
@@ -450,8 +480,8 @@ impl ReteNetwork {
         let mut neg_buf = std::mem::take(&mut self.scratch_neg);
         pos_buf.clear();
         neg_buf.clear();
-        pos_buf.extend_from_slice(self.pos_sites.get(template).map_or(&[][..], Vec::as_slice));
-        neg_buf.extend_from_slice(self.neg_sites.get(template).map_or(&[][..], Vec::as_slice));
+        pos_buf.extend_from_slice(net.pos_sites.get(template).map_or(&[][..], Vec::as_slice));
+        neg_buf.extend_from_slice(net.neg_sites.get(template).map_or(&[][..], Vec::as_slice));
         let mut pos_sites = pos_buf.as_slice();
         let mut neg_prods = neg_buf.as_slice();
         while !pos_sites.is_empty() || !neg_prods.is_empty() {
@@ -469,10 +499,9 @@ impl ReteNetwork {
                 // their blockers from a working memory that already
                 // contains the fact, so doing supports first counts the
                 // fact exactly once either way.
-                let rule = self.prods[pi].rule.clone();
                 self.update_supports_on_assert(
+                    net,
                     pi,
-                    &rule,
                     id,
                     &fact,
                     template,
@@ -481,7 +510,7 @@ impl ReteNetwork {
                 )?;
             }
             let mut emitted: Vec<(usize, TokenId)> = Vec::new();
-            if self.prods[pi].fast {
+            if net.prods[pi].fast {
                 // Single positive pattern at position 0: one site, one
                 // possible emission, no token tree to grow.
                 while let Some((p, _)) = pos_sites.first().copied() {
@@ -489,10 +518,10 @@ impl ReteNetwork {
                         break;
                     }
                     pos_sites = &pos_sites[1..];
-                    if !self.const_check(pi, 0, &fact) {
+                    if !self.const_check(net, pi, 0, &fact) {
                         continue;
                     }
-                    if let Some(emission) = self.fast_match(pi, id, &fact, host)? {
+                    if let Some(emission) = self.fast_match(net, pi, id, &fact, host)? {
                         outcome.pushes.push(emission);
                     }
                 }
@@ -503,16 +532,16 @@ impl ReteNetwork {
                     break;
                 }
                 pos_sites = &pos_sites[1..];
-                if !self.const_check(pi, pos, &fact) {
+                if !self.const_check(net, pi, pos, &fact) {
                     continue;
                 }
-                let parents = self.right_parents(pi, pos, &fact);
+                let parents = self.right_parents(net, pi, pos, &fact);
                 let mut complete = Vec::new();
                 for parent in parents {
                     if !self.tokens.contains_key(&parent) {
                         continue;
                     }
-                    self.try_extend(pi, pos, parent, id, &fact, wm, host, &mut complete)?;
+                    self.try_extend(net, pi, pos, parent, id, &fact, wm, host, &mut complete)?;
                 }
                 emitted.extend(complete.into_iter().map(|t| (pos, t)));
             }
@@ -536,7 +565,7 @@ impl ReteNetwork {
         self.scratch_neg = neg_buf;
         for pi in resequence {
             self.stats.resequences += 1;
-            let matches = self.complete_matches(pi);
+            let matches = self.complete_matches(net, pi);
             outcome.resequences.push((pi, matches));
         }
         self.count_activations(&outcome);
@@ -549,26 +578,26 @@ impl ReteNetwork {
     #[allow(clippy::too_many_arguments)]
     fn update_supports_on_assert(
         &mut self,
+        net: &CompiledNetwork,
         pi: usize,
-        rule: &Rule,
         id: FactId,
         fact: &Fact,
         template: &str,
         host: &mut dyn Host,
         removals: &mut Vec<ActKey>,
     ) -> Result<()> {
+        let rule = &net.prods[pi].rule;
         let positions: Vec<usize> = rule
             .negative_positions()
             .filter(|(_, p)| p.template.as_ref() == template)
             .map(|(pos, _)| pos)
             .collect();
         for pos in positions {
-            if !self.const_check(pi, pos, fact) {
+            if !self.const_check(net, pi, pos, fact) {
                 continue;
             }
             let CondElem::Not(pattern) = &rule.lhs()[pos] else { unreachable!() };
-            let parents: Vec<TokenId> =
-                self.prods[pi].memories[pos].by_tuple.values().copied().collect();
+            let parents: Vec<TokenId> = self.memories[pi][pos].by_tuple.values().copied().collect();
             for t in parents {
                 let Some(token) = self.tokens.get(&t) else { continue };
                 let mut scratch = token.bindings.clone();
@@ -588,10 +617,8 @@ impl ReteNetwork {
                 };
                 self.fact_blocks.entry(id).or_default().insert(t);
                 if let Some(tuple) = child_tuple {
-                    if let Some(child) =
-                        self.prods[pi].memories[pos + 1].by_tuple.get(&tuple).copied()
-                    {
-                        self.delete_subtree(child, removals);
+                    if let Some(child) = self.memories[pi][pos + 1].by_tuple.get(&tuple).copied() {
+                        self.delete_subtree(net, child, removals);
                     }
                 }
             }
@@ -606,6 +633,7 @@ impl ReteNetwork {
     /// evaluated against the post-retract fact population.
     pub(crate) fn on_retract(
         &mut self,
+        net: &CompiledNetwork,
         id: FactId,
         template: &str,
         wm: &WorkingMemory,
@@ -619,7 +647,7 @@ impl ReteNetwork {
                 self.stats.tokens_removed += entry.virtual_tokens;
                 self.stats.tokens_live -= entry.virtual_tokens;
                 if entry.complete {
-                    let len = self.prods[entry.prod].rule.lhs().len();
+                    let len = net.prods[entry.prod].rule.lhs().len();
                     let mut tuple = Vec::with_capacity(len);
                     tuple.push(Some(id));
                     tuple.resize(len, None);
@@ -632,7 +660,7 @@ impl ReteNetwork {
         if let Some(tokens) = self.fact_tokens.remove(&id) {
             for t in tokens {
                 if self.tokens.contains_key(&t) {
-                    self.delete_subtree(t, &mut outcome.removals);
+                    self.delete_subtree(net, t, &mut outcome.removals);
                 }
             }
         }
@@ -647,16 +675,16 @@ impl ReteNetwork {
                 }
                 let (pi, level, bindings) = (token.prod, token.level, token.bindings.clone());
                 let mut scratch = Vec::new();
-                if let Some(child) = self.create_child(pi, t, level, None, bindings) {
-                    self.extend_token(pi, child, wm, host, &mut scratch)?;
+                if let Some(child) = self.create_child(net, pi, t, level, None, bindings) {
+                    self.extend_token(net, pi, child, wm, host, &mut scratch)?;
                 }
             }
         }
         // 3. Resequence rules negating on this template (naive parity:
         //    their full recompute refreshes every surviving seq).
-        for pi in self.neg_sites.get(template).cloned().unwrap_or_default() {
+        for &pi in net.neg_sites.get(template).map_or(&[][..], Vec::as_slice) {
             self.stats.resequences += 1;
-            let matches = self.complete_matches(pi);
+            let matches = self.complete_matches(net, pi);
             outcome.resequences.push((pi, matches));
         }
         self.count_activations(&outcome);
@@ -670,13 +698,14 @@ impl ReteNetwork {
     /// appended to `out`.
     fn extend_token(
         &mut self,
+        net: &CompiledNetwork,
         pi: usize,
         token_id: TokenId,
         wm: &WorkingMemory,
         host: &mut dyn Host,
         out: &mut Vec<TokenId>,
     ) -> Result<()> {
-        let rule = self.prods[pi].rule.clone();
+        let rule = &net.prods[pi].rule;
         let level = self.tokens[&token_id].level;
         if level == rule.lhs().len() {
             out.push(token_id);
@@ -684,25 +713,25 @@ impl ReteNetwork {
         }
         match &rule.lhs()[level] {
             CondElem::Pattern(p) => {
-                let candidates = self.candidates(pi, level, p, &token_id, wm);
+                let candidates = self.candidates(net, pi, level, p, &token_id, wm);
                 for cid in candidates {
                     let Some(fact) = wm.get(cid).cloned() else { continue };
-                    if !self.const_check(pi, level, &fact) {
+                    if !self.const_check(net, pi, level, &fact) {
                         continue;
                     }
                     if !self.tokens.contains_key(&token_id) {
                         break;
                     }
-                    self.try_extend(pi, level, token_id, cid, &fact, wm, host, out)?;
+                    self.try_extend(net, pi, level, token_id, cid, &fact, wm, host, out)?;
                 }
             }
             CondElem::Not(pattern) => {
-                let candidates = self.candidates(pi, level, pattern, &token_id, wm);
+                let candidates = self.candidates(net, pi, level, pattern, &token_id, wm);
                 let bindings = self.tokens[&token_id].bindings.clone();
                 let mut blockers = BTreeSet::new();
                 for cid in candidates {
                     let Some(fact) = wm.get(cid).cloned() else { continue };
-                    if !self.const_check(pi, level, &fact) {
+                    if !self.const_check(net, pi, level, &fact) {
                         continue;
                     }
                     self.stats.neg_checks += 1;
@@ -717,8 +746,9 @@ impl ReteNetwork {
                 let empty = blockers.is_empty();
                 self.tokens.get_mut(&token_id).expect("live token").blockers = blockers;
                 if empty {
-                    if let Some(child) = self.create_child(pi, token_id, level, None, bindings) {
-                        self.extend_token(pi, child, wm, host, out)?;
+                    if let Some(child) = self.create_child(net, pi, token_id, level, None, bindings)
+                    {
+                        self.extend_token(net, pi, child, wm, host, out)?;
                     }
                 }
             }
@@ -727,8 +757,9 @@ impl ReteNetwork {
                 if eval(expr, &mut scratch, host)?.is_truthy() {
                     // `bind` side effects inside the test persist
                     // downstream, as in the naive DFS.
-                    if let Some(child) = self.create_child(pi, token_id, level, None, scratch) {
-                        self.extend_token(pi, child, wm, host, out)?;
+                    if let Some(child) = self.create_child(net, pi, token_id, level, None, scratch)
+                    {
+                        self.extend_token(net, pi, child, wm, host, out)?;
                     }
                 }
             }
@@ -742,6 +773,7 @@ impl ReteNetwork {
     #[allow(clippy::too_many_arguments)]
     fn try_extend(
         &mut self,
+        net: &CompiledNetwork,
         pi: usize,
         level: usize,
         parent: TokenId,
@@ -751,8 +783,7 @@ impl ReteNetwork {
         host: &mut dyn Host,
         out: &mut Vec<TokenId>,
     ) -> Result<()> {
-        let rule = self.prods[pi].rule.clone();
-        let CondElem::Pattern(p) = &rule.lhs()[level] else { unreachable!() };
+        let CondElem::Pattern(p) = &net.prods[pi].rule.lhs()[level] else { unreachable!() };
         self.stats.join_attempts += 1;
         let mut extended = self.tokens[&parent].bindings.clone();
         if !p.matches(fact, &mut extended, host)? {
@@ -768,8 +799,8 @@ impl ReteNetwork {
             }
         }
         self.stats.join_matches += 1;
-        if let Some(child) = self.create_child(pi, parent, level, Some(cid), extended) {
-            self.extend_token(pi, child, wm, host, out)?;
+        if let Some(child) = self.create_child(net, pi, parent, level, Some(cid), extended) {
+            self.extend_token(net, pi, child, wm, host, out)?;
         }
         Ok(())
     }
@@ -779,6 +810,7 @@ impl ReteNetwork {
     /// (the fact reached this path through an earlier seed position).
     fn create_child(
         &mut self,
+        net: &CompiledNetwork,
         pi: usize,
         parent: TokenId,
         level: usize,
@@ -787,7 +819,7 @@ impl ReteNetwork {
     ) -> Option<TokenId> {
         let mut tuple = self.tokens[&parent].tuple.clone();
         tuple.push(fact);
-        if self.prods[pi].memories[level + 1].by_tuple.contains_key(&tuple) {
+        if self.memories[pi][level + 1].by_tuple.contains_key(&tuple) {
             return None;
         }
         let id = self.new_token_id();
@@ -803,12 +835,12 @@ impl ReteNetwork {
         };
         // Index the token in its memory under the consuming node's join
         // variable, when that node has one.
-        let join_key = self.prods[pi]
+        let join_key = net.prods[pi]
             .nodes
             .get(level + 1)
             .and_then(|n| n.join.as_ref())
             .map(|(_, var)| token.bindings.get(var.as_ref()).cloned());
-        let memory = &mut self.prods[pi].memories[level + 1];
+        let memory = &mut self.memories[pi][level + 1];
         match join_key {
             Some(Some(value)) => {
                 memory.index.entry(value).or_default().insert(id);
@@ -834,7 +866,12 @@ impl ReteNetwork {
     /// Deletes `token` and every descendant, unhooking memories, fact
     /// back-references and blocker back-references, and recording the
     /// agenda keys of deleted complete matches.
-    fn delete_subtree(&mut self, token: TokenId, removals: &mut Vec<ActKey>) {
+    fn delete_subtree(
+        &mut self,
+        net: &CompiledNetwork,
+        token: TokenId,
+        removals: &mut Vec<ActKey>,
+    ) {
         // Detach the subtree root from its parent; descendants' parents
         // die with the subtree.
         if let Some(parent) = self.tokens[&token].parent {
@@ -846,13 +883,13 @@ impl ReteNetwork {
         while let Some(t) = stack.pop() {
             let Some(tok) = self.tokens.remove(&t) else { continue };
             stack.extend(tok.children.iter().copied());
-            let last_level = tok.level == self.prods[tok.prod].nodes.len();
-            let join_key = self.prods[tok.prod]
+            let last_level = tok.level == net.prods[tok.prod].nodes.len();
+            let join_key = net.prods[tok.prod]
                 .nodes
                 .get(tok.level)
                 .and_then(|n| n.join.as_ref())
                 .and_then(|(_, var)| tok.bindings.get(var.as_ref()).cloned());
-            let memory = &mut self.prods[tok.prod].memories[tok.level];
+            let memory = &mut self.memories[tok.prod][tok.level];
             memory.by_tuple.remove(&tok.tuple);
             memory.unindexed.remove(&t);
             if let Some(value) = join_key {
@@ -888,13 +925,14 @@ impl ReteNetwork {
     /// constant-slot bucket, else the whole template extent.
     fn candidates(
         &mut self,
+        net: &CompiledNetwork,
         pi: usize,
         level: usize,
         pattern: &PatternCE,
         token: &TokenId,
         wm: &WorkingMemory,
     ) -> Vec<FactId> {
-        let node = &self.prods[pi].nodes[level];
+        let node = &net.prods[pi].nodes[level];
         if let Some((slot, var)) = &node.join {
             if let Some(value) = self.tokens[token].bindings.get(var.as_ref()) {
                 let (slot, value) = (*slot, value.clone());
@@ -925,9 +963,15 @@ impl ReteNetwork {
     /// Parent tokens worth joining a new fact against at `level`: the
     /// beta-index bucket for the fact's join-slot value (plus the
     /// conservative unindexed set), or the whole memory.
-    fn right_parents(&mut self, pi: usize, level: usize, fact: &Fact) -> Vec<TokenId> {
-        let memory = &self.prods[pi].memories[level];
-        if let Some((slot, _)) = &self.prods[pi].nodes[level].join {
+    fn right_parents(
+        &mut self,
+        net: &CompiledNetwork,
+        pi: usize,
+        level: usize,
+        fact: &Fact,
+    ) -> Vec<TokenId> {
+        let memory = &self.memories[pi][level];
+        if let Some((slot, _)) = &net.prods[pi].nodes[level].join {
             let value = &fact.slots()[*slot];
             self.stats.index_lookups += 1;
             let mut parents: Vec<TokenId> = match memory.index.get(value) {
@@ -945,8 +989,8 @@ impl ReteNetwork {
     }
 
     /// Cheap constant-slot gate before a full pattern verification.
-    fn const_check(&mut self, pi: usize, level: usize, fact: &Fact) -> bool {
-        let node = &self.prods[pi].nodes[level];
+    fn const_check(&mut self, net: &CompiledNetwork, pi: usize, level: usize, fact: &Fact) -> bool {
+        let node = &net.prods[pi].nodes[level];
         if node.consts.is_empty() {
             return true;
         }
@@ -973,10 +1017,9 @@ impl ReteNetwork {
 
     /// All complete matches of one rule in full-tuple order (the naive
     /// full-recompute DFS emission order).
-    fn complete_matches(&self, pi: usize) -> Vec<Emission> {
-        let last = self.prods[pi].nodes.len();
-        let tokens: Vec<TokenId> =
-            self.prods[pi].memories[last].by_tuple.values().copied().collect();
+    fn complete_matches(&self, net: &CompiledNetwork, pi: usize) -> Vec<Emission> {
+        let last = net.prods[pi].nodes.len();
+        let tokens: Vec<TokenId> = self.memories[pi][last].by_tuple.values().copied().collect();
         self.emissions_sorted(pi, tokens)
     }
 
