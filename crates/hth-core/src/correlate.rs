@@ -14,7 +14,8 @@
 //! **Determinism.** [`Correlator::correlate`] is a pure function of the
 //! ingested digest *multiset*: digests live in a session-keyed B-tree,
 //! every set inside a digest is itself ordered, aggregates are grouped
-//! in key order, and each call builds a fresh engine. Shard count,
+//! in key order, and each call instantiates a fresh engine (from the
+//! correlator policy, compiled once per [`CorrelateConfig`]). Shard count,
 //! batch size, arrival order and transport (live, serve, journal) can
 //! therefore not change a byte of the output — the invariant
 //! `tests/correlate_equivalence.rs` pins.
@@ -27,16 +28,20 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-use secpert_engine::{Engine, EngineError, FactId, Value, CORRELATE_RULES, DIGEST_TEMPLATES};
+use secpert_engine::{
+    Engine, EngineError, FactId, Matcher, RuleBase, Value, CORRELATE_RULES, DIGEST_TEMPLATES,
+};
 
 use crate::digest::SessionDigest;
+use crate::memo::Memo;
 use crate::provenance::{FactSupport, Provenance};
-use crate::secpert::{register_severity_text, register_warn};
+use crate::secpert::{bind_warn, register_severity_text};
 use crate::warning::{Severity, Warning};
 
 /// Thresholds for the correlator rule family (the CLIPS globals in
-/// [`CORRELATE_RULES`], overridden after load).
-#[derive(Clone, Debug)]
+/// [`CORRELATE_RULES`], overridden after load). The whole config keys
+/// the compiled correlator policy.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CorrelateConfig {
     /// Distinct program labels beaconing one endpoint at/above this
     /// fire `shared_c2` (High).
@@ -147,6 +152,27 @@ impl Agg {
     }
 }
 
+/// Compiled correlator policies by configuration (see [`crate::memo`]).
+static CORRELATOR_POLICIES: Memo<CorrelateConfig, RuleBase> = Memo::new();
+
+/// Compiles the correlator policy for `config`: digest templates,
+/// correlation rules, `extra_rules` in order, then the thresholds.
+fn compile(config: &CorrelateConfig) -> Result<RuleBase, EngineError> {
+    let mut rules = RuleBase::new();
+    register_severity_text(&mut rules);
+    rules.load_str(DIGEST_TEMPLATES)?;
+    rules.load_str(CORRELATE_RULES)?;
+    for extra in &config.extra_rules {
+        rules.load_str(extra)?;
+    }
+    rules.set_global("MIN_C2_LABELS", config.min_c2_labels);
+    rules.set_global("MIN_DROP_SESSIONS", config.min_drop_sessions);
+    rules.set_global("MIN_EXFIL_SESSIONS", config.min_exfil_sessions);
+    rules.set_global("EXFIL_FLEET_BYTES", config.exfil_fleet_bytes);
+    rules.set_global("EXFIL_SESSION_BYTES", config.exfil_session_bytes);
+    Ok(rules)
+}
+
 /// The fleet-wide correlator: ingest digests, then judge the whole
 /// fleet at once.
 #[derive(Debug, Default)]
@@ -185,7 +211,7 @@ impl Correlator {
     }
 
     /// Runs the correlator policy over everything ingested. Pure in the
-    /// digest multiset: a fresh engine is built per call, so calling
+    /// digest multiset: each call instantiates a fresh engine, so calling
     /// twice yields identical reports.
     ///
     /// # Errors
@@ -194,21 +220,12 @@ impl Correlator {
     /// tests) or from `extra_rules`.
     pub fn correlate(&self) -> Result<CorrelationReport, EngineError> {
         let _span = hth_trace::span("correlator.correlate");
-        let mut engine = Engine::new();
+        let rules =
+            CORRELATOR_POLICIES.get_or_try_insert(&self.config, || compile(&self.config))?;
+        let mut engine = Engine::instantiate(rules, Matcher::default())?;
         let warnings: Arc<Mutex<Vec<Arc<Warning>>>> = Arc::new(Mutex::new(Vec::new()));
-        register_warn(&mut engine, warnings.clone());
-        register_severity_text(&mut engine);
+        bind_warn(&mut engine, warnings.clone());
         engine.set_support_capture(true);
-        engine.load_str(DIGEST_TEMPLATES)?;
-        engine.load_str(CORRELATE_RULES)?;
-        for rules in &self.config.extra_rules {
-            engine.load_str(rules)?;
-        }
-        engine.set_global("MIN_C2_LABELS", self.config.min_c2_labels);
-        engine.set_global("MIN_DROP_SESSIONS", self.config.min_drop_sessions);
-        engine.set_global("MIN_EXFIL_SESSIONS", self.config.min_exfil_sessions);
-        engine.set_global("EXFIL_FLEET_BYTES", self.config.exfil_fleet_bytes);
-        engine.set_global("EXFIL_SESSION_BYTES", self.config.exfil_session_bytes);
         engine.reset()?;
 
         // Leaf facts (session order, set order within a session) and

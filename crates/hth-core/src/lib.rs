@@ -37,6 +37,7 @@
 mod correlate;
 mod cross_session;
 mod digest;
+mod memo;
 mod policy;
 mod provenance;
 mod secpert;
@@ -48,7 +49,7 @@ pub use cross_session::{BotnetReport, DropRecord, SessionHistory};
 pub use digest::{digest_session, DigestBuilder, DropIdentity, SessionDigest};
 pub use policy::{PolicyConfig, POLICY_CLIPS};
 pub use provenance::{FactSupport, Provenance};
-pub use secpert::Secpert;
+pub use secpert::{CompiledPolicy, PolicyCounters, Secpert};
 pub use secpert_engine::SnapshotError;
 pub use session::{EventTap, RunReport, Session, SessionConfig, SessionError, SessionSummary};
 pub use warning::{Severity, Warning};

@@ -17,8 +17,10 @@
 //! paper's noise reduction and its deliberate false negative (ElmExploit
 //! §8.3.1: `system()`'s `/bin/sh` string lives in trusted libc).
 
-/// Tunable thresholds and trust lists for the policy.
-#[derive(Clone, Debug)]
+/// Tunable thresholds and trust lists for the policy. The whole config
+/// keys the compiled-policy memo: configs equal in every field share
+/// one compiled policy.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PolicyConfig {
     /// Frequency strictly below this counts as "rarely executed".
     pub rare_frequency: i64,

@@ -3,13 +3,17 @@
 //! protocol between Harrier and the rules.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use harrier::{Origin, SecpertEvent, SourceInfo};
 use secpert_engine::frame::{self, Cursor, Framing, HEADER_LEN};
 use secpert_engine::snapshot::{EngineSnapshot, SnapshotError};
-use secpert_engine::{AlphaPrefilter, Engine, EngineError, Fact, FactBuilder, MatchStats, Value};
+use secpert_engine::{
+    AlphaPrefilter, Engine, EngineError, Fact, FactBuilder, MatchStats, Matcher, RuleBase, Value,
+};
 
+use crate::memo::Memo;
 use crate::policy::{PolicyConfig, POLICY_CLIPS};
 use crate::provenance::{FactSupport, Provenance};
 use crate::warning::{Severity, Warning};
@@ -33,8 +37,133 @@ pub struct Secpert {
     engine: Engine,
     warnings: Arc<Mutex<Vec<Arc<Warning>>>>,
     events_processed: u64,
-    gate: EventGate,
+    gate: Arc<EventGate>,
     values: ValueCache,
+}
+
+/// The Secpert policy compiled for one [`PolicyConfig`]: the parsed
+/// and compiled rule base (templates, rules, match-network productions,
+/// globals and the config-derived `filter_*` natives) plus the event
+/// gate built from it. Immutable; every expert over the config is an
+/// instance of one shared `Arc<CompiledPolicy>` ([`CompiledPolicy::get`]).
+pub struct CompiledPolicy {
+    rules: Arc<RuleBase>,
+    gate: Arc<EventGate>,
+}
+
+/// Compiled policies by configuration (see [`crate::memo`]).
+static POLICIES: Memo<PolicyConfig, CompiledPolicy> = Memo::new();
+/// Process-wide count of policy compiles (`hth_policy_compiles_total`).
+static COMPILES: AtomicU64 = AtomicU64::new(0);
+/// Process-wide count of experts instantiated from a compiled policy
+/// (`hth_policy_instantiations_total`).
+static INSTANTIATIONS: AtomicU64 = AtomicU64::new(0);
+
+impl CompiledPolicy {
+    /// The compiled policy for `config`, compiled on first use and
+    /// shared from a small process-wide memo keyed by the whole config
+    /// afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Parse and semantic errors from the policy text (the embedded
+    /// policy is covered by tests; `extra_rules` may not be). Failures
+    /// are not memoized.
+    pub fn get(config: &PolicyConfig) -> Result<Arc<CompiledPolicy>, EngineError> {
+        POLICIES.get_or_try_insert(config, || CompiledPolicy::compile(config))
+    }
+
+    /// Compiles `config` from source, bypassing the memo: the standard
+    /// policy, then `extra_rules` in order, then the config's
+    /// thresholds.
+    ///
+    /// # Errors
+    ///
+    /// Parse and semantic errors from the policy text.
+    pub fn compile(config: &PolicyConfig) -> Result<CompiledPolicy, EngineError> {
+        let _span = hth_trace::span("secpert.compile");
+        COMPILES.fetch_add(1, Ordering::Relaxed);
+        let mut rules = RuleBase::new();
+        register_filters(&mut rules, config);
+        rules.load_str(POLICY_CLIPS)?;
+        for extra in &config.extra_rules {
+            rules.load_str(extra)?;
+        }
+        rules.set_global("RARE_FREQUENCY", config.rare_frequency);
+        rules.set_global("LONG_TIME", config.long_time);
+        rules.set_global("PROC_COUNT_HIGH", config.proc_count_high);
+        rules.set_global("PROC_RATE_HIGH", config.proc_rate_high);
+        rules.set_global("MEM_HIGH", config.mem_high);
+        rules.set_global("MEM_VERY_HIGH", config.mem_very_high);
+        let gate = Arc::new(EventGate::build(&rules));
+        Ok(CompiledPolicy { rules: Arc::new(rules), gate })
+    }
+
+    /// A fresh expert over this policy: empty working memory (after
+    /// `reset`), its own warning sink bound to the `warn` native, and
+    /// the shared rule base and event gate.
+    ///
+    /// # Errors
+    ///
+    /// Engine errors from joining the rules or asserting the deffacts.
+    pub fn instantiate(&self) -> Result<Secpert, EngineError> {
+        INSTANTIATIONS.fetch_add(1, Ordering::Relaxed);
+        let mut engine = Engine::instantiate(Arc::clone(&self.rules), Matcher::default())?;
+        let warnings: Arc<Mutex<Vec<Arc<Warning>>>> = Arc::new(Mutex::new(Vec::new()));
+        bind_warn(&mut engine, warnings.clone());
+        // Provenance: every firing snapshots which other rules' live
+        // matches shared its supporting facts (see attach_provenance).
+        engine.set_support_capture(true);
+        engine.reset()?;
+        Ok(Secpert {
+            engine,
+            warnings,
+            events_processed: 0,
+            gate: Arc::clone(&self.gate),
+            values: ValueCache::default(),
+        })
+    }
+
+    /// The compiled rule base experts over this policy share.
+    pub fn rule_base(&self) -> &Arc<RuleBase> {
+        &self.rules
+    }
+}
+
+/// Process-wide policy counters: how often a policy was compiled and
+/// how many experts were instantiated from compiled policies. With the
+/// memo warm, compiles stay flat while instantiations track every
+/// session, serve open, revive and pool respawn.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PolicyCounters {
+    /// Policy compiles (memo misses and [`CompiledPolicy::compile`]).
+    pub compiles: u64,
+    /// Experts instantiated from a compiled policy.
+    pub instantiations: u64,
+}
+
+impl PolicyCounters {
+    /// The counters' current values.
+    pub fn read() -> PolicyCounters {
+        PolicyCounters {
+            compiles: COMPILES.load(Ordering::Relaxed),
+            instantiations: INSTANTIATIONS.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Folds the counters into `metrics` as
+    /// `hth_policy_compiles_total` / `hth_policy_instantiations_total`.
+    /// They are process totals: record them once per snapshot, not once
+    /// per expert.
+    pub fn record_metrics(&self, metrics: &mut hth_trace::MetricsSnapshot) {
+        metrics.add_counter("hth_policy_compiles_total", self.compiles);
+        metrics.add_counter("hth_policy_instantiations_total", self.instantiations);
+    }
+
+    /// The one-line `/statusz` form.
+    pub fn render(&self) -> String {
+        format!("policy    {} compiles, {} instantiations\n", self.compiles, self.instantiations)
+    }
 }
 
 /// What an event field means when the alpha pre-filter asks about a
@@ -91,10 +220,10 @@ struct EventGate {
 }
 
 impl EventGate {
-    fn build(engine: &Engine) -> EventGate {
-        let filter = engine.alpha_prefilter();
+    fn build(rules: &RuleBase) -> EventGate {
+        let filter = rules.alpha_prefilter();
         let gate_for = |name: &str| -> TemplateGate {
-            let (sems, server_default) = match engine.template(name) {
+            let (sems, server_default) = match rules.template(name) {
                 Some(t) => {
                     let sems = t
                         .slots()
@@ -136,7 +265,7 @@ impl EventGate {
         };
         let access = gate_for("system_call_access");
         let transfer = gate_for("data_transfer");
-        EventGate { revision: engine.rules_revision(), filter, access, transfer }
+        EventGate { revision: rules.rules_revision(), filter, access, transfer }
     }
 
     /// Could this event's fact begin a match anywhere in the rule base?
@@ -305,7 +434,8 @@ impl ValueCache {
 
 impl Secpert {
     /// Builds a Secpert with the standard policy and the given
-    /// configuration.
+    /// configuration: an instance of the config's [`CompiledPolicy`],
+    /// compiled on the first call and shared afterwards.
     ///
     /// # Errors
     ///
@@ -313,31 +443,14 @@ impl Secpert {
     /// bug, covered by tests) — propagated rather than unwrapped so
     /// custom policies loaded on top behave the same way.
     pub fn new(config: &PolicyConfig) -> Result<Secpert, EngineError> {
-        let mut engine = Engine::new();
-        let warnings: Arc<Mutex<Vec<Arc<Warning>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        register_filters(&mut engine, config);
-        register_warn(&mut engine, warnings.clone());
-        // Provenance: every firing snapshots which other rules' live
-        // matches shared its supporting facts (see attach_provenance).
-        engine.set_support_capture(true);
-        engine.load_str(POLICY_CLIPS)?;
-        for rules in &config.extra_rules {
-            engine.load_str(rules)?;
-        }
-        engine.set_global("RARE_FREQUENCY", config.rare_frequency);
-        engine.set_global("LONG_TIME", config.long_time);
-        engine.set_global("PROC_COUNT_HIGH", config.proc_count_high);
-        engine.set_global("PROC_RATE_HIGH", config.proc_rate_high);
-        engine.set_global("MEM_HIGH", config.mem_high);
-        engine.set_global("MEM_VERY_HIGH", config.mem_very_high);
-        engine.reset()?;
-        let gate = EventGate::build(&engine);
-        Ok(Secpert { engine, warnings, events_processed: 0, gate, values: ValueCache::default() })
+        CompiledPolicy::get(config)?.instantiate()
     }
 
     /// Loads additional CLIPS policy text (custom rules on top of the
-    /// standard policy).
+    /// standard policy). Copy-on-write: this expert gets a private copy
+    /// of the shared rule base first, so other experts over the same
+    /// [`CompiledPolicy`] — and the compiled policy itself — are
+    /// unaffected.
     ///
     /// # Errors
     ///
@@ -396,7 +509,7 @@ impl Secpert {
     fn process_one(&mut self, event: &SecpertEvent) -> Result<(), EngineError> {
         self.events_processed += 1;
         if self.gate.revision != self.engine.rules_revision() {
-            self.gate = EventGate::build(&self.engine);
+            self.gate = Arc::new(EventGate::build(self.engine.rule_base()));
         }
         // Events whose fact fails every rule's constant discriminators
         // skip fact construction and assertion entirely: such a fact
@@ -747,7 +860,7 @@ fn taint_sources_of(event: &SecpertEvent) -> Vec<String> {
 /// Registers the `filter_*` natives used by the policy: each takes two
 /// parallel multifields (types, names) and returns the names of the
 /// entries with the wanted type, minus trusted ones.
-fn register_filters(engine: &mut Engine, config: &PolicyConfig) {
+fn register_filters(rules: &mut RuleBase, config: &PolicyConfig) {
     fn filter(
         args: &[Value],
         wanted: &'static str,
@@ -780,25 +893,25 @@ fn register_filters(engine: &mut Engine, config: &PolicyConfig) {
     let none: Arc<Vec<String>> = Arc::new(Vec::new());
 
     let t = trusted_bin;
-    engine.register_fn("filter_binary", move |args| filter(args, "BINARY", t.clone()));
+    rules.register_fn("filter_binary", move |args| filter(args, "BINARY", t.clone()));
     let t = trusted_sock.clone();
-    engine.register_fn("filter_socket", move |args| filter(args, "SOCKET", t.clone()));
+    rules.register_fn("filter_socket", move |args| filter(args, "SOCKET", t.clone()));
     let t = trusted_sock;
-    engine.register_fn("filter_sockets_in", move |args| filter(args, "SOCKET", t.clone()));
+    rules.register_fn("filter_sockets_in", move |args| filter(args, "SOCKET", t.clone()));
     let t = none.clone();
-    engine.register_fn("filter_file", move |args| filter(args, "FILE", t.clone()));
+    rules.register_fn("filter_file", move |args| filter(args, "FILE", t.clone()));
     let t = none.clone();
-    engine.register_fn("filter_user", move |args| filter(args, "USER_INPUT", t.clone()));
+    rules.register_fn("filter_user", move |args| filter(args, "USER_INPUT", t.clone()));
     let t = none;
-    engine.register_fn("filter_hardware", move |args| filter(args, "HARDWARE", t.clone()));
+    rules.register_fn("filter_hardware", move |args| filter(args, "HARDWARE", t.clone()));
 
-    register_severity_text(engine);
+    register_severity_text(rules);
 }
 
 /// Registers the `severity-text` native (level → `Warning [LOW]` …).
 /// Shared with the fleet correlator, which has no `filter_*` natives.
-pub(crate) fn register_severity_text(engine: &mut Engine) {
-    engine.register_fn("severity-text", |args| {
+pub(crate) fn register_severity_text(rules: &mut RuleBase) {
+    rules.register_fn("severity-text", |args| {
         let level = args
             .first()
             .ok_or(EngineError::Type { expected: "severity level", found: "nothing".into() })?
@@ -813,9 +926,11 @@ pub(crate) fn register_severity_text(engine: &mut Engine) {
     });
 }
 
-/// Registers the `warn` native: `(warn level rule pid time message)`.
-pub(crate) fn register_warn(engine: &mut Engine, sink: Arc<Mutex<Vec<Arc<Warning>>>>) {
-    engine.register_fn("warn", move |args| {
+/// Binds the `warn` native, `(warn level rule pid time message)`, to
+/// one engine: it pushes into that engine's own sink, so it is never
+/// part of a shared rule base.
+pub(crate) fn bind_warn(engine: &mut Engine, sink: Arc<Mutex<Vec<Arc<Warning>>>>) {
+    engine.bind_fn("warn", move |args| {
         let [level, rule, pid, time, message] = args else {
             return Err(EngineError::Type {
                 expected: "(warn level rule pid time message)",
@@ -1199,7 +1314,7 @@ mod tests {
                 "#,
             )
             .unwrap();
-        let gate = EventGate::build(&engine);
+        let gate = EventGate::build(engine.rule_base());
         assert!(!gate.access.always && !gate.transfer.always, "no catch-alls here");
 
         let server = ServerInfo {

@@ -30,7 +30,9 @@ pub struct SessionConfig {
     /// Feed events through this session's own Secpert as they happen
     /// (the classic single-threaded pipeline). Fleet deployments turn
     /// this off and ship events to a shared analyst pool through an
-    /// event tap instead (see [`Session::set_event_tap`]).
+    /// event tap instead (see [`Session::set_event_tap`]); such a
+    /// session builds no Secpert of its own unless asked for one
+    /// ([`Session::secpert_mut`]).
     pub analyze_inline: bool,
     /// Hybrid static/dynamic monitoring (paper §10 item 2): before a
     /// program runs, the Appendix B Secure Binary audit scans its image;
@@ -153,7 +155,8 @@ pub struct Session {
     /// The emulated OS (configure files, hosts and peers through this).
     pub kernel: Kernel,
     harrier: Harrier,
-    secpert: Secpert,
+    /// `None` until needed when events are not analyzed inline.
+    secpert: Option<Secpert>,
     procs: Vec<Process>,
     warnings: Vec<Warning>,
     events: Vec<SecpertEvent>,
@@ -170,11 +173,16 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`SessionError::Policy`] when the policy fails to load.
+    /// A session that does not analyze inline neither compiles nor
+    /// instantiates the policy, so its policy errors surface where its
+    /// events are analyzed.
     pub fn new(config: SessionConfig) -> Result<Session, SessionError> {
+        let secpert =
+            if config.analyze_inline { Some(Secpert::new(&config.policy)?) } else { None };
         Ok(Session {
             kernel: Kernel::new(),
             harrier: Harrier::new(config.harrier.clone()),
-            secpert: Secpert::new(&config.policy)?,
+            secpert,
             procs: Vec::new(),
             warnings: Vec::new(),
             events: Vec::new(),
@@ -337,7 +345,7 @@ impl Session {
                 );
             }
             if self.config.analyze_inline {
-                let warnings = self.secpert.process_event(event)?;
+                let warnings = self.secpert_mut().process_event(event)?;
                 fired_high
                     .extend(warnings.iter().filter(|w| w.severity == Severity::High).cloned());
                 self.warnings.extend(warnings);
@@ -440,9 +448,19 @@ impl Session {
         &self.events
     }
 
-    /// The expert system (custom rules, inspection).
+    /// The expert system (custom rules, inspection), instantiated on
+    /// first use for a session that does not analyze inline.
+    ///
+    /// # Panics
+    ///
+    /// When a session that does not analyze inline has a policy that
+    /// fails to compile (inline sessions report that from
+    /// [`Session::new`]).
     pub fn secpert_mut(&mut self) -> &mut Secpert {
-        &mut self.secpert
+        let policy = &self.config.policy;
+        self.secpert.get_or_insert_with(|| {
+            Secpert::new(policy).expect("session policy compiles (checked where it is analyzed)")
+        })
     }
 
     /// The monitor (taint inspection).
@@ -458,7 +476,7 @@ impl Session {
 
     /// Paper-style warning transcript accumulated by the policy rules.
     pub fn take_transcript(&mut self) -> String {
-        self.secpert.take_transcript()
+        self.secpert.as_mut().map(Secpert::take_transcript).unwrap_or_default()
     }
 
     /// Instructions retired so far.
@@ -467,12 +485,15 @@ impl Session {
     }
 
     /// One unified metrics snapshot for this session: taint-store
-    /// (`hth_taint_*`), match-network (`hth_match_*`), expert
-    /// (`hth_secpert_*`) and pipeline (`hth_session_*`) counters.
+    /// (`hth_taint_*`), match-network (`hth_match_*`) and expert
+    /// (`hth_secpert_*`, both only when the session has an expert), and
+    /// pipeline (`hth_session_*`) counters.
     pub fn metrics(&self) -> hth_trace::MetricsSnapshot {
         let mut metrics = hth_trace::MetricsSnapshot::default();
         self.taint_stats().record_metrics(&mut metrics);
-        self.secpert.record_metrics(&mut metrics);
+        if let Some(secpert) = &self.secpert {
+            secpert.record_metrics(&mut metrics);
+        }
         metrics.add_counter("hth_session_events", self.harrier.events_emitted());
         metrics.add_counter("hth_session_instructions", self.instructions);
         metrics.add_counter("hth_session_warnings", self.warnings.len() as u64);

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hth_core::Severity;
+use hth_core::{PolicyCounters, Severity};
 use hth_fleet::wire;
 use hth_trace::MetricsSnapshot;
 use secpert_engine::frame::{self, HEADER_LEN};
@@ -314,7 +314,8 @@ fn ack_of(result: Result<u64, ServeError>) -> Ack {
 
 /// Answers one HTTP request and closes. `sniffed` is the
 /// already-consumed method prefix. Routes: `/metrics` (Prometheus
-/// text), `/healthz` (liveness), `/statusz` (the introspection report),
+/// text), `/healthz` (liveness), `/statusz` (the introspection report
+/// and a `policy` line of process-wide compile/instantiation counts),
 /// `/bundles` (diagnostic-bundle index), `/bundles/<n>` (one bundle as
 /// JSON).
 fn handle_http(mut stream: TcpStream, sniffed: &[u8], shared: &Shared) -> Result<(), ServeError> {
@@ -348,7 +349,11 @@ fn handle_http(mut stream: TcpStream, sniffed: &[u8], shared: &Shared) -> Result
             snapshot.render_prometheus()
         }),
         "/healthz" => ("200 OK", String::from("ok\n")),
-        "/statusz" => ("200 OK", table.status_report(shared.started.elapsed().as_secs()).render()),
+        "/statusz" => ("200 OK", {
+            let mut frame = table.status_report(shared.started.elapsed().as_secs()).render();
+            frame.push_str(&PolicyCounters::read().render());
+            frame
+        }),
         "/bundles" => ("200 OK", {
             let lines: Vec<String> =
                 table.bundle_ring().list().iter().map(|b| b.summary()).collect();

@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 
 use harrier::SecpertEvent;
 use hth_core::{
-    CorrelateConfig, CorrelationReport, Correlator, DigestBuilder, PolicyConfig, Secpert,
-    SessionDigest, Severity,
+    CorrelateConfig, CorrelationReport, Correlator, DigestBuilder, PolicyConfig, PolicyCounters,
+    Secpert, SessionDigest, Severity,
 };
 use hth_fleet::journal::{recover, JournalWriter};
 use hth_fleet::{read_digest_stream, write_digest_stream, FaultPlan};
@@ -404,8 +404,10 @@ impl SessionTable {
 
     /// Folds the table's gauges, counters, and resident engines' match
     /// statistics into a metrics snapshot (the `/metrics` endpoint and
-    /// the drain summary both read this).
+    /// the drain summary both read this), plus the process-wide policy
+    /// compile and instantiation counters.
     pub fn record_metrics(&self, metrics: &mut MetricsSnapshot) {
+        PolicyCounters::read().record_metrics(metrics);
         let stats = self.stats();
         metrics.set_gauge("hth_serve_sessions_resident", stats.sessions_resident as i64);
         metrics.set_gauge("hth_serve_sessions_open", stats.sessions_open as i64);
