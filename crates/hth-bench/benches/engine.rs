@@ -1,19 +1,21 @@
 //! Criterion benches for the secpert-engine substrate: fact assertion,
 //! match-and-fire throughput, the policy's per-event latency — plus the
 //! working-memory scaling curve comparing the naive full-join matcher
-//! against the incremental Rete network (events × resident facts).
+//! against the incremental Rete network (events × resident facts), and
+//! the per-expert policy costs: a cold compile, `Secpert::new` over the
+//! warm compiled-policy memo, and restoring an empty snapshot.
 //!
 //! Run with `cargo bench -p hth-bench --bench engine`; the scaling
-//! curve goes to `BENCH_engine.json` at the repo root. `--test` runs
-//! every benchmark body once plus a tiny scaling smoke (naive and Rete
-//! must agree exactly) and writes nothing.
+//! curve and the policy rows go to `BENCH_engine.json` at the repo
+//! root. `--test` runs every benchmark body once plus a tiny scaling
+//! smoke (naive and Rete must agree exactly) and writes nothing.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use harrier::{Origin, ResourceType, SecpertEvent, SourceInfo};
 use hth_bench::json::Json;
-use hth_core::{PolicyConfig, Secpert};
+use hth_core::{CompiledPolicy, PolicyConfig, Secpert};
 use secpert_engine::{Engine, Matcher, Value};
 
 fn engine_with_rule() -> Engine {
@@ -260,8 +262,11 @@ fn wm_scaling() {
         // Smoke: the equivalence asserts inside scaling_point are the test.
         scaling_point(50, 25);
         println!("test engine_wm_scaling ... ok");
+        policy_rows(true);
+        println!("test engine_policy_rows ... ok");
         return;
     }
+    let policy = policy_rows(false);
     let mut rows = Vec::new();
     let mut speedup_at_10k = 0.0;
     for (resident, events) in [(100usize, 4000usize), (1_000, 2000), (10_000, 400)] {
@@ -278,8 +283,67 @@ fn wm_scaling() {
         ("workload".into(), Json::Str("join + not, event assert/fire/retract cycle".into())),
         ("rows".into(), Json::Arr(rows)),
         ("speedup_at_10k".into(), Json::Num(speedup_at_10k)),
+        ("cpus".into(), Json::Num(cpus() as f64)),
+        ("policy".into(), policy),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::write(path, json.to_string_pretty() + "\n").expect("write BENCH_engine.json");
     println!("engine/wm-scaling: wrote {path}");
+}
+
+fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Best-of-5 mean cost of `op` in microseconds, each round `iters`
+/// warm calls.
+fn best_of_5_us(iters: u32, mut op: impl FnMut()) -> f64 {
+    op();
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                op();
+            }
+            start.elapsed().as_secs_f64() * 1e6 / f64::from(iters)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Per-expert policy costs under the default config: `policy_compile`
+/// (parse + compile, bypassing the memo, for reference),
+/// `secpert_new` (a fresh expert from the memoized compiled policy) and
+/// `restore_empty` (`Secpert::restore` of a just-built expert's
+/// snapshot — what a serve revive of an idle session pays). The full
+/// run gates `restore_empty` at 20 µs.
+fn policy_rows(smoke: bool) -> Json {
+    let config = PolicyConfig::default();
+    let iters = if smoke { 2 } else { 2000 };
+    let compile_us = best_of_5_us(if smoke { 1 } else { 20 }, || {
+        std::hint::black_box(CompiledPolicy::compile(&config).expect("policy compiles"));
+    });
+    let new_us = best_of_5_us(iters, || {
+        std::hint::black_box(Secpert::new(&config).expect("policy loads"));
+    });
+    let snapshot = Secpert::new(&config).expect("policy loads").snapshot().expect("snapshot");
+    let restore_us = best_of_5_us(iters, || {
+        std::hint::black_box(Secpert::restore(&config, &snapshot).expect("restores"));
+    });
+    println!(
+        "engine/policy: compile {compile_us:.1} us, secpert_new {new_us:.2} us, \
+         restore_empty {restore_us:.2} us ({} snapshot bytes, {} cpus)",
+        snapshot.len(),
+        cpus()
+    );
+    if !smoke {
+        assert!(restore_us <= 20.0, "restoring an empty snapshot took {restore_us:.1} us > 20 us");
+    }
+    let row = |stage: &str, us: f64| {
+        Json::Obj(vec![("stage".into(), Json::Str(stage.into())), ("us".into(), Json::Num(us))])
+    };
+    Json::Arr(vec![
+        row("policy_compile", compile_us),
+        row("secpert_new", new_us),
+        row("restore_empty", restore_us),
+    ])
 }
